@@ -375,12 +375,8 @@ void print_e5b_table() {
       workload.instantiate(kSeed, {core::ProtocolSpec::canonical()}, {.count = kCount});
   const engine::JobSource& source = counted.source;
 
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = kSeed;
-  key.total_jobs = counted.count;
-  key.protocols = {core::ProtocolSpec::canonical().name()};
+  const dist::SweepKey key = dist::make_sweep_key(workload, {core::ProtocolSpec::canonical()},
+                                                  kSeed, fault::FaultSpec::none(), counted.count);
 
   double single_millis = 0.0;
   engine::BatchReport single;

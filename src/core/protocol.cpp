@@ -1,7 +1,6 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -13,6 +12,7 @@
 #include "core/fast_classifier.hpp"
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
+#include "support/parse.hpp"
 
 namespace arl::core {
 
@@ -46,22 +46,14 @@ std::uint64_t injected_events(const radio::RunStats& stats) {
 
 namespace {
 
-/// Bare registry key of a kind (without parameter suffix).
-const char* kind_key(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::Canonical:
-      return "canonical";
-    case ProtocolKind::ClassifyOnly:
-      return "classify";
-    case ProtocolKind::BinarySearch:
-      return "binary-search";
-    case ProtocolKind::TreeSplit:
-      return "tree-split";
-    case ProtocolKind::Randomized:
-      return "randomized";
-  }
-  return "?";
-}
+/// Registry-order kind tokens (the bare key, without a parameter suffix).
+constexpr support::KindTokens<ProtocolKind, 5> kKinds = {{
+    {ProtocolKind::Canonical, "canonical"},
+    {ProtocolKind::ClassifyOnly, "classify"},
+    {ProtocolKind::BinarySearch, "binary-search"},
+    {ProtocolKind::TreeSplit, "tree-split"},
+    {ProtocolKind::Randomized, "randomized"},
+}};
 
 /// Smallest label width whose universe [0, 2^bits) holds labels 0..n-1.
 unsigned auto_label_bits(graph::NodeId n) {
@@ -338,7 +330,7 @@ ElectionReport run_baseline(const config::Configuration& configuration, const Pr
 }  // namespace
 
 std::string ProtocolSpec::name() const {
-  std::string key = kind_key(kind);
+  std::string key = support::kind_token(kKinds, kind);
   if (uses_labels() && label_bits != 0) {
     key += ':' + std::to_string(label_bits);
   } else if (kind == ProtocolKind::Randomized && max_slots != kDefaultMaxSlots) {
@@ -398,55 +390,24 @@ std::string protocol_names() {
 }
 
 ProtocolSpec parse_protocol(std::string_view text) {
-  const std::size_t colon = text.find(':');
-  const std::string_view key = text.substr(0, colon);
-  const std::string_view param =
-      colon == std::string_view::npos ? std::string_view{} : text.substr(colon + 1);
-
-  // Plain ContractViolations (not ARL_EXPECTS): these messages are shown
-  // verbatim by the CLI, so they must read as usage errors, not assertions.
-  ProtocolSpec spec;
-  bool found = false;
-  for (const ProtocolSpec& candidate : registered_protocols()) {
-    if (key == kind_key(candidate.kind)) {
-      spec = candidate;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    throw support::ContractViolation("unknown protocol '" + std::string(text) +
-                                     "'; registered protocols are: " + protocol_names());
-  }
-
-  if (colon == std::string_view::npos) {
+  const support::SpecText parts = support::split_spec(text);
+  ProtocolSpec spec{support::find_kind(kKinds, parts.kind, text, "protocol", protocol_names)};
+  if (!parts.params) {
     return spec;
   }
-  char* end = nullptr;
-  const std::string param_string(param);
-  const unsigned long long value = std::strtoull(param_string.c_str(), &end, 10);
-  if (param_string.empty() || end != param_string.c_str() + param_string.size()) {
-    throw support::ContractViolation("malformed parameter in protocol '" + std::string(text) +
-                                     "'");
-  }
+  const std::string at = "protocol '" + std::string(parts.kind) + "': ";
   switch (spec.kind) {
     case ProtocolKind::BinarySearch:
     case ProtocolKind::TreeSplit:
-      if (value > 63) {
-        throw support::ContractViolation("label width of '" + std::string(text) +
-                                         "' must be in [0, 63]");
-      }
-      spec.label_bits = static_cast<unsigned>(value);
+      spec.label_bits =
+          static_cast<unsigned>(support::parse_integer(*parts.params, at + "BITS", 63));
       break;
     case ProtocolKind::Randomized:
-      if (value < 1 || value > (1u << 30)) {
-        throw support::ContractViolation("slot guard of '" + std::string(text) +
-                                         "' must be in [1, 2^30]");
-      }
-      spec.max_slots = static_cast<std::uint32_t>(value);
+      spec.max_slots = static_cast<std::uint32_t>(
+          support::parse_integer(*parts.params, at + "SLOTS", std::uint64_t{1} << 30, 1));
       break;
     default:
-      throw support::ContractViolation("protocol '" + std::string(key) + "' takes no parameter");
+      throw support::ContractViolation(at + "takes no parameter");
   }
   return spec;
 }

@@ -110,8 +110,9 @@ struct ProtocolSpec {
 [[nodiscard]] std::string protocol_names();
 
 /// Parses a registry key, with an optional ":value" parameter suffix for the
-/// parameterized kinds.  Throws support::ContractViolation naming the
-/// registered protocols on an unknown key or malformed parameter.
+/// parameterized kinds (digits only, support/parse.hpp).  Throws
+/// support::ContractViolation naming the registered protocols on an unknown
+/// key, and a one-line reason on a malformed or out-of-range parameter.
 [[nodiscard]] ProtocolSpec parse_protocol(std::string_view text);
 
 /// Runs `spec` on `configuration` and fills a uniform report:

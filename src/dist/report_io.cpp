@@ -8,8 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "engine/workload.hpp"
-#include "fault/fault.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 #include "support/line_io.hpp"
@@ -37,7 +35,7 @@ const char* disposition_token(core::Disposition disposition) {
   return "?";
 }
 
-core::Disposition parse_disposition(const std::string& token) {
+core::Disposition parse_disposition(std::string_view token) {
   if (token == "not-simulated") {
     return core::Disposition::NotSimulated;
   }
@@ -53,10 +51,10 @@ core::Disposition parse_disposition(const std::string& token) {
   if (token == "detected-fault") {
     return core::Disposition::DetectedFault;
   }
-  throw ReportFormatError("unknown disposition '" + token + "'");
+  throw ReportFormatError("unknown disposition '" + std::string(token) + "'");
 }
 
-std::uint64_t parse_u64(const std::string& token, const char* what,
+std::uint64_t parse_u64(std::string_view token, const char* what,
                         std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   // The strict decimal grammar is shared with the other line protocols
   // (support/parse.hpp); fields narrower than 64 bits reject out-of-range
@@ -64,21 +62,21 @@ std::uint64_t parse_u64(const std::string& token, const char* what,
   const std::optional<std::uint64_t> value = support::parse_decimal_u64(token, max);
   if (!value) {
     throw ReportFormatError(std::string(what) + " must be a decimal integer within its field " +
-                            "range (got '" + token + "')");
+                            "range (got '" + std::string(token) + "')");
   }
   return *value;
 }
 
 /// parse_u64 bounded to a 32-bit field.
-std::uint32_t parse_u32(const std::string& token, const char* what) {
+std::uint32_t parse_u32(std::string_view token, const char* what) {
   return static_cast<std::uint32_t>(
       parse_u64(token, what, std::numeric_limits<std::uint32_t>::max()));
 }
 
-std::uint64_t parse_hex64(const std::string& token, const char* what) {
-  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    throw ReportFormatError(std::string(what) +
-                            " must be 16 lowercase hex digits (got '" + token + "')");
+std::uint64_t parse_hex64(std::string_view token, const char* what) {
+  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") != token.npos) {
+    throw ReportFormatError(std::string(what) + " must be 16 lowercase hex digits (got '" +
+                            std::string(token) + "')");
   }
   std::uint64_t value = 0;
   for (const char c : token) {
@@ -98,62 +96,27 @@ std::string hex64(std::uint64_t value) {
   return out;
 }
 
-bool parse_bool(const std::string& token, const char* what) {
+bool parse_bool(std::string_view token, const char* what) {
   if (token == "0") {
     return false;
   }
   if (token == "1") {
     return true;
   }
-  throw ReportFormatError(std::string(what) + " must be 0 or 1 (got '" + token + "')");
-}
-
-double parse_double(const std::string& token, const char* what) {
-  // Only the canonical non-negative finite spellings the writer emits —
-  // digits[.digits][e[+-]digits] — are valid; std::stod alone would also
-  // accept inf/nan/hexfloat/signs and let a hand-authored report smuggle
-  // non-finite values through the wall-time sum.
-  if (support::is_canonical_number(token)) {
-    try {
-      return std::stod(token);
-    } catch (const std::exception&) {  // out_of_range on extreme exponents
-    }
-  }
-  throw ReportFormatError(std::string(what) + " must be a canonical number (got '" + token +
+  throw ReportFormatError(std::string(what) + " must be 0 or 1 (got '" + std::string(token) +
                           "')");
 }
 
-core::ProtocolSpec parse_protocol_token(const std::string& token) {
-  try {
-    const core::ProtocolSpec spec = core::parse_protocol(token);
-    if (spec.name() != token) {  // only canonical spellings are valid on the wire
-      throw ReportFormatError("protocol '" + token + "' is not in canonical form (want '" +
-                              spec.name() + "')");
-    }
-    return spec;
-  } catch (const support::ContractViolation& error) {
-    throw ReportFormatError(std::string("bad protocol: ") + error.what());
+double parse_double(std::string_view token, const char* what) {
+  // Only the canonical non-negative finite spellings the writer emits;
+  // std::stod alone would also accept inf/nan/hexfloat/signs and let a
+  // hand-authored report smuggle non-finite values through the wall-time sum.
+  const std::optional<double> value = support::parse_canonical_double(token);
+  if (!value) {
+    throw ReportFormatError(std::string(what) + " must be a canonical number (got '" +
+                            std::string(token) + "')");
   }
-}
-
-/// Splits a line on single spaces; rejects empty fields (leading, trailing
-/// or doubled separators) so the grammar has exactly one spelling.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t space = line.find(' ', start);
-    const std::size_t end = space == std::string::npos ? line.size() : space;
-    if (end == start) {
-      throw ReportFormatError("empty field in line '" + line + "'");
-    }
-    tokens.push_back(line.substr(start, end - start));
-    if (space == std::string::npos) {
-      break;
-    }
-    start = space + 1;
-  }
-  return tokens;
+  return *value;
 }
 
 /// Line cursor over the whole input: read_shard_report slurps every line up
@@ -183,10 +146,17 @@ class LineReader {
     return lines_[next_];
   }
 
-  [[nodiscard]] std::string take() {
-    std::string line = peek();
+  /// Consumes the next line; the reference lives as long as the reader.
+  [[nodiscard]] const std::string& take() {
+    const std::string& line = peek();
     ++next_;
     return line;
+  }
+
+  /// Consumes the next line as its fields (support::wire_fields: single
+  /// spaces, no empty field), which view the reader's copy of the line.
+  [[nodiscard]] std::vector<std::string_view> take_fields() {
+    return support::wire_fields<ReportFormatError>(take());
   }
 
   /// Digest of the raw bytes of every line consumed before the current one
@@ -223,7 +193,7 @@ void write_stats(std::ostream& out, const radio::RunStats& stats) {
       << stats.injected_crashes << ' ' << stats.delayed_wakeups;
 }
 
-radio::RunStats parse_stats(const std::vector<std::string>& tokens, std::size_t first) {
+radio::RunStats parse_stats(const std::vector<std::string_view>& tokens, std::size_t first) {
   radio::RunStats stats;
   stats.transmissions = parse_u64(tokens[first], "transmissions");
   stats.clean_receptions = parse_u64(tokens[first + 1], "clean receptions");
@@ -253,6 +223,22 @@ std::uint64_t sweep_digest(std::string_view description) {
   // Domain-separated from config fingerprints; the seed is mirrored by
   // engine::WorkloadSpec::digest() so spec digests feed SweepKeys directly.
   return support::hash_text(description, /*seed=*/0xD157);
+}
+
+SweepKey make_sweep_key(const engine::WorkloadSpec& workload,
+                        const std::vector<core::ProtocolSpec>& protocols, std::uint64_t seed,
+                        const fault::FaultSpec& fault, engine::JobId total_jobs) {
+  SweepKey key;
+  key.digest = workload.digest();
+  key.description = workload.name();
+  key.seed = seed;
+  key.total_jobs = total_jobs;
+  key.fault = fault.name();
+  key.protocols.reserve(protocols.size());
+  for (const core::ProtocolSpec& protocol : protocols) {
+    key.protocols.push_back(protocol.name());
+  }
+  return key;
 }
 
 ShardReport make_shard_report(SweepKey key, JobRange range, engine::BatchReport report) {
@@ -343,18 +329,19 @@ ShardReport read_shard_report(std::istream& in) {
 
   // Header: version, sweep identity, seed, total job count.
   {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2 || tokens[0] != "arl-shard-report") {
       throw ReportFormatError("not a shard report (missing 'arl-shard-report <version>' line)");
     }
     const std::uint64_t version = parse_u64(tokens[1], "version");
     if (version != kShardReportVersion) {
-      throw ReportFormatError("unsupported shard report version " + tokens[1] + " (this build " +
-                              "reads version " + std::to_string(kShardReportVersion) + ")");
+      throw ReportFormatError("unsupported shard report version " + std::string(tokens[1]) +
+                              " (this build reads version " +
+                              std::to_string(kShardReportVersion) + ")");
     }
   }
   {
-    const std::string line = lines.take();
+    const std::string& line = lines.take();
     if (line.rfind("sweep ", 0) != 0) {
       throw ReportFormatError("expected the 'sweep' line, got '" + line + "'");
     }
@@ -367,28 +354,20 @@ ShardReport read_shard_report(std::istream& in) {
     if (sweep_digest(shard.key.description) != shard.key.digest) {
       throw ReportFormatError("sweep digest does not match its description (corrupted header?)");
     }
-    // Workload identity is re-parsed, never trusted as an opaque string: the
-    // description must be the canonical spelling of a registered workload,
-    // so two reports merge only when the registry itself equates them.
-    try {
-      const engine::WorkloadSpec workload = engine::parse_workload(shard.key.description);
-      if (workload.name() != shard.key.description) {
-        throw ReportFormatError("workload '" + shard.key.description +
-                                "' is not in canonical form (want '" + workload.name() + "')");
-      }
-    } catch (const support::ContractViolation& error) {
-      throw ReportFormatError(std::string("bad workload: ") + error.what());
-    }
+    // The description must be the canonical spelling of a registered
+    // workload, so two reports merge only when the registry equates them.
+    (void)support::parse_canonical<ReportFormatError>(shard.key.description, "workload",
+                                                      engine::parse_workload);
   }
   {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2 || tokens[0] != "seed") {
       throw ReportFormatError("expected the 'seed' line");
     }
     shard.key.seed = parse_u64(tokens[1], "seed");
   }
   {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2 || tokens[0] != "jobs") {
       throw ReportFormatError("expected the 'jobs' line");
     }
@@ -399,36 +378,29 @@ ShardReport read_shard_report(std::istream& in) {
   // workload, the spelling is re-parsed through the registry — only the
   // canonical name of a registered fault is valid on the wire.
   if (!lines.done() && lines.peek().rfind("fault ", 0) == 0) {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2) {
       throw ReportFormatError("fault line must be 'fault <name>'");
     }
-    try {
-      const fault::FaultSpec spec = fault::parse_fault(tokens[1]);
-      if (spec.name() != tokens[1]) {
-        throw ReportFormatError("fault '" + tokens[1] + "' is not in canonical form (want '" +
-                                spec.name() + "')");
-      }
-      if (!spec.active()) {
-        throw ReportFormatError("inactive fault '" + tokens[1] +
-                                "' must be spelled by omitting the fault line");
-      }
-      shard.key.fault = tokens[1];
-      shard.report.fault = spec;
-    } catch (const support::ContractViolation& error) {
-      throw ReportFormatError(std::string("bad fault: ") + error.what());
+    shard.report.fault =
+        support::parse_canonical<ReportFormatError>(tokens[1], "fault", fault::parse_fault);
+    if (!shard.report.fault.active()) {
+      throw ReportFormatError("inactive fault '" + std::string(tokens[1]) +
+                              "' must be spelled by omitting the fault line");
     }
+    shard.key.fault = tokens[1];
   }
 
   // Covered ranges: ascending, disjoint, coalesced, within [0, total).
   while (!lines.done() && lines.peek().rfind("range ", 0) == 0) {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 3) {
       throw ReportFormatError("range line must be 'range <begin> <end>'");
     }
     JobRange range{parse_u64(tokens[1], "range begin"), parse_u64(tokens[2], "range end")};
     if (range.begin >= range.end || range.end > shard.key.total_jobs) {
-      throw ReportFormatError("range [" + tokens[1] + ", " + tokens[2] +
+      throw ReportFormatError("range [" + std::to_string(range.begin) + ", " +
+                              std::to_string(range.end) +
                               ") must be non-empty and within the sweep's jobs");
     }
     if (!shard.ranges.empty() && range.begin <= shard.ranges.back().end) {
@@ -439,12 +411,12 @@ ShardReport read_shard_report(std::istream& in) {
 
   // The protocol axis.
   while (!lines.done() && lines.peek().rfind("protocol ", 0) == 0) {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2) {
       throw ReportFormatError("protocol line must be 'protocol <name>'");
     }
-    (void)parse_protocol_token(tokens[1]);
-    shard.key.protocols.push_back(tokens[1]);
+    (void)support::parse_canonical<ReportFormatError>(tokens[1], "protocol", core::parse_protocol);
+    shard.key.protocols.emplace_back(tokens[1]);
   }
   if (shard.key.protocols.empty()) {
     throw ReportFormatError("shard report declares no protocols");
@@ -452,21 +424,21 @@ ShardReport read_shard_report(std::istream& in) {
 
   // Execution circumstances (informational; never part of merge identity).
   {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2 || tokens[0] != "threads") {
       throw ReportFormatError("expected the 'threads' line");
     }
     shard.report.threads_used = static_cast<std::size_t>(parse_u64(tokens[1], "threads"));
   }
   {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 2 || tokens[0] != "wall-ms") {
       throw ReportFormatError("expected the 'wall-ms' line");
     }
     shard.report.wall_millis = parse_double(tokens[1], "wall time");
   }
   if (!lines.done() && lines.peek().rfind("cache ", 0) == 0) {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 6) {
       throw ReportFormatError("cache line must carry exactly five counters");
     }
@@ -490,23 +462,24 @@ ShardReport read_shard_report(std::istream& in) {
   // a forged range must fail the count check below as a format error — not
   // blow up an allocation first.  Amortized growth is plenty here.
   while (!lines.done() && lines.peek().rfind("job ", 0) == 0) {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 26) {
       throw ReportFormatError("job line must carry exactly 25 fields");
     }
     engine::JobOutcome job;
     job.id = parse_u64(tokens[1], "job id");
     if (range_index >= shard.ranges.size() || job.id != next_id) {
-      throw ReportFormatError("job id " + tokens[1] +
+      throw ReportFormatError("job id " + std::to_string(job.id) +
                               " does not enumerate the declared ranges in order");
     }
-    job.protocol = parse_protocol_token(tokens[2]);
+    job.protocol =
+        support::parse_canonical<ReportFormatError>(tokens[2], "protocol", core::parse_protocol);
     bool listed = false;
     for (const std::string& name : shard.key.protocols) {
       listed = listed || name == tokens[2];
     }
     if (!listed) {
-      throw ReportFormatError("job protocol '" + tokens[2] +
+      throw ReportFormatError("job protocol '" + std::string(tokens[2]) +
                               "' is not in the declared protocol list");
     }
     job.disposition = parse_disposition(tokens[3]);
@@ -540,12 +513,13 @@ ShardReport read_shard_report(std::istream& in) {
   // corrupted job field rarely survives this cross-check).
   std::vector<engine::ProtocolBreakdown> declared;
   while (!lines.done() && lines.peek().rfind("breakdown ", 0) == 0) {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 22) {
       throw ReportFormatError("breakdown line must carry exactly 21 fields");
     }
     engine::ProtocolBreakdown row;
-    row.protocol = parse_protocol_token(tokens[1]);
+    row.protocol =
+        support::parse_canonical<ReportFormatError>(tokens[1], "protocol", core::parse_protocol);
     row.jobs = parse_u64(tokens[2], "breakdown jobs");
     row.feasible = parse_u64(tokens[3], "breakdown feasible");
     row.valid = parse_u64(tokens[4], "breakdown valid");
@@ -559,7 +533,7 @@ ShardReport read_shard_report(std::istream& in) {
     declared.push_back(std::move(row));
   }
   {
-    const std::vector<std::string> tokens = tokenize(lines.take());
+    const std::vector<std::string_view> tokens = lines.take_fields();
     if (tokens.size() != 3 || tokens[0] != "end") {
       throw ReportFormatError("expected the 'end <count> <digest>' line");
     }

@@ -56,6 +56,8 @@
 
 #include "dist/shard.hpp"
 #include "engine/batch_runner.hpp"
+#include "engine/workload.hpp"
+#include "fault/fault.hpp"
 
 namespace arl::dist {
 
@@ -86,6 +88,15 @@ struct SweepKey {
 
   friend bool operator==(const SweepKey& a, const SweepKey& b) = default;
 };
+
+/// The key of the sweep (workload × protocols) under `seed` and `fault`,
+/// `total_jobs` jobs long: the canonical names the registries print, and
+/// the workload's digest.  The one place sweep identity is spelled, shared
+/// by `arl sweep`, the sweep service and every test that builds a report.
+[[nodiscard]] SweepKey make_sweep_key(const engine::WorkloadSpec& workload,
+                                      const std::vector<core::ProtocolSpec>& protocols,
+                                      std::uint64_t seed, const fault::FaultSpec& fault,
+                                      engine::JobId total_jobs);
 
 /// Stable 64-bit digest of a sweep description (the `sweep` line carries
 /// both, and merge verifies they agree — the digest catches a description

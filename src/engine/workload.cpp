@@ -1,8 +1,7 @@
 #include "engine/workload.hpp"
 
-#include <array>
+#include <algorithm>
 #include <limits>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
@@ -19,9 +18,10 @@ namespace arl::engine {
 namespace {
 
 using support::ContractViolation;
+using support::require;
 
 /// Registry-order kind tokens (the part of a name before ':').
-constexpr std::array<std::pair<WorkloadKind, const char*>, 12> kKinds = {{
+constexpr support::KindTokens<WorkloadKind, 12> kKinds = {{
     {WorkloadKind::Random, "random"},
     {WorkloadKind::Exhaustive, "exhaustive"},
     {WorkloadKind::FamilyG, "family-g"},
@@ -35,15 +35,6 @@ constexpr std::array<std::pair<WorkloadKind, const char*>, 12> kKinds = {{
     {WorkloadKind::SingleHop, "single-hop"},
     {WorkloadKind::Mutations, "mutations"},
 }};
-
-const char* kind_token(WorkloadKind kind) {
-  for (const auto& [k, token] : kKinds) {
-    if (k == kind) {
-      return token;
-    }
-  }
-  return "?";
-}
 
 /// A fresh spec of `kind` with that kind's default parameters — the one
 /// construction path shared by the factories and parse_workload, so
@@ -67,43 +58,22 @@ WorkloadSpec blank(WorkloadKind kind) {
   return spec;
 }
 
-/// Shortest decimal spelling that round-trips to exactly `value` — the
-/// canonical form of p in names ("0.3", not "0.29999999999999999").
-std::string shortest_double(double value) {
-  for (int precision = 1; precision <= std::numeric_limits<double>::max_digits10;
-       ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    if (std::stod(out.str()) == value) {
-      return out.str();
-    }
-  }
-  return std::to_string(value);
-}
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    throw ContractViolation(what);
-  }
-}
-
 /// Parameter bounds, enforced by parse_workload AND instantiate (a spec
 /// built by hand gets the same validation the grammar applies).
 void validate(const WorkloadSpec& spec) {
-  const std::string at = std::string("workload '") + kind_token(spec.kind) + "': ";
-  check(spec.span <= 1'000'000, at + "sigma must be in [0, 1000000]");
+  const std::string at = std::string("workload '") + support::kind_token(kKinds, spec.kind) + "': ";
+  require(spec.span <= 1'000'000, at + "sigma must be in [0, 1000000]");
   // Stretching tags to an exact positive span needs two nodes to stretch
   // between (config::random_tags_with_span's precondition) — reject at
   // parse time, not mid-batch inside a worker thread.
   const auto spannable = [&](std::uint64_t node_count) {
-    check(spec.span == 0 || node_count >= 2, at + "a positive sigma needs at least 2 nodes");
+    require(spec.span == 0 || node_count >= 2, at + "a positive sigma needs at least 2 nodes");
   };
   switch (spec.kind) {
     case WorkloadKind::Random:
-      check(spec.nodes >= 1 && spec.nodes <= 1'000'000, at + "n must be in [1, 1000000]");
-      check(spec.edge_probability >= 0.0 && spec.edge_probability <= 1.0,
-            at + "p must be in [0, 1]");
+      require(spec.nodes >= 1 && spec.nodes <= 1'000'000, at + "n must be in [1, 1000000]");
+      require(spec.edge_probability >= 0.0 && spec.edge_probability <= 1.0,
+              at + "p must be in [0, 1]");
       if (spec.exact) {  // exact=0 draws uniform tags, legal on one node
         spannable(spec.nodes);
       }
@@ -111,60 +81,35 @@ void validate(const WorkloadSpec& spec) {
     case WorkloadKind::Exhaustive:
       // The census is exponential in n (connected labelled graphs times the
       // (tau+1)^n tag odometer); beyond n = 6 a single shard is hopeless.
-      check(spec.nodes >= 1 && spec.nodes <= 6, at + "n must be in [1, 6]");
-      check(spec.max_tag <= 8, at + "tau must be in [0, 8]");
+      require(spec.nodes >= 1 && spec.nodes <= 6, at + "n must be in [1, 6]");
+      require(spec.max_tag <= 8, at + "tau must be in [0, 8]");
       break;
     case WorkloadKind::Grid:
-      check(spec.rows >= 1 && spec.rows <= 1000, at + "rows must be in [1, 1000]");
-      check(spec.cols >= 1 && spec.cols <= 1000, at + "cols must be in [1, 1000]");
+      require(spec.rows >= 1 && spec.rows <= 1000, at + "rows must be in [1, 1000]");
+      require(spec.cols >= 1 && spec.cols <= 1000, at + "cols must be in [1, 1000]");
       spannable(static_cast<std::uint64_t>(spec.rows) * spec.cols);
       break;
     case WorkloadKind::Torus:
-      check(spec.rows >= 3 && spec.rows <= 1000, at + "rows must be in [3, 1000]");
-      check(spec.cols >= 3 && spec.cols <= 1000, at + "cols must be in [3, 1000]");
+      require(spec.rows >= 3 && spec.rows <= 1000, at + "rows must be in [3, 1000]");
+      require(spec.cols >= 3 && spec.cols <= 1000, at + "cols must be in [3, 1000]");
       break;
     case WorkloadKind::Hypercube:
-      check(spec.dimension >= 1 && spec.dimension <= 20, at + "d must be in [1, 20]");
+      require(spec.dimension >= 1 && spec.dimension <= 20, at + "d must be in [1, 20]");
       break;
     case WorkloadKind::Tree:
     case WorkloadKind::SingleHop:
-      check(spec.nodes >= 1 && spec.nodes <= 1'000'000, at + "n must be in [1, 1000000]");
+      require(spec.nodes >= 1 && spec.nodes <= 1'000'000, at + "n must be in [1, 1000000]");
       spannable(spec.nodes);
       break;
     case WorkloadKind::Mutations:
-      check(spec.base != nullptr, at + "needs a base workload (mutations:WORKLOAD)");
-      check(spec.base->kind != WorkloadKind::Mutations,
-            at + "base must not itself be a mutation neighbourhood");
+      require(spec.base != nullptr, at + "needs a base workload (mutations:WORKLOAD)");
+      require(spec.base->kind != WorkloadKind::Mutations,
+              at + "base must not itself be a mutation neighbourhood");
       validate(*spec.base);
       break;
     default:
       break;
   }
-}
-
-std::uint32_t parse_number(const std::string& value, const std::string& what) {
-  check(!value.empty() && value.size() <= 9 &&
-            value.find_first_not_of("0123456789") == std::string::npos,
-        what + " must be a decimal integer in [0, 999999999] (got '" + value + "')");
-  return static_cast<std::uint32_t>(std::stoul(value));
-}
-
-double parse_probability(const std::string& value, const std::string& what) {
-  // Only canonical non-negative spellings (support::is_canonical_number, the
-  // same grammar the shard-report wire enforces) — so a name parses to
-  // exactly the double its writer printed.
-  check(support::is_canonical_number(value),
-        what + " must be a decimal number (got '" + value + "')");
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw ContractViolation(what + " is out of range (got '" + value + "')");
-  }
-}
-
-bool parse_flag(const std::string& value, const std::string& what) {
-  check(value == "0" || value == "1", what + " must be 0 or 1 (got '" + value + "')");
-  return value == "1";
 }
 
 /// The m-offset of the §4 families (G_m starts at m = 2, H_m/S_m at m = 1).
@@ -310,13 +255,13 @@ bool operator==(const WorkloadSpec& a, const WorkloadSpec& b) {
 
 std::string WorkloadSpec::name() const {
   if (kind == WorkloadKind::Mutations) {
-    return std::string(kind_token(kind)) + ":" + (base ? base->name() : "?");
+    return std::string(support::kind_token(kKinds, kind)) + ":" + (base ? base->name() : "?");
   }
   std::vector<std::string> params;
   switch (kind) {
     case WorkloadKind::Random:
       params.push_back("n=" + std::to_string(nodes));
-      params.push_back("p=" + shortest_double(edge_probability));
+      params.push_back("p=" + support::shortest_double(edge_probability));
       params.push_back("sigma=" + std::to_string(span));
       if (!exact) {
         params.push_back("exact=0");
@@ -350,7 +295,7 @@ std::string WorkloadSpec::name() const {
   if (fast) {
     params.push_back("fast=1");
   }
-  std::string out = kind_token(kind);
+  std::string out = support::kind_token(kKinds, kind);
   for (std::size_t i = 0; i < params.size(); ++i) {
     out += (i == 0 ? ':' : ',');
     out += params[i];
@@ -534,105 +479,66 @@ std::string workload_names() {
 }
 
 WorkloadSpec parse_workload(std::string_view text) {
-  const std::size_t colon = text.find(':');
-  const std::string token(text.substr(0, colon));
-  WorkloadKind kind = WorkloadKind::Random;
-  bool known = false;
-  for (const auto& [k, name] : kKinds) {
-    if (token == name) {
-      kind = k;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    throw ContractViolation("unknown workload '" + std::string(text) +
-                            "' (registered: " + workload_names() + ")");
-  }
-
+  const support::SpecText parts = support::split_spec(text);
+  const WorkloadKind kind = support::find_kind(kKinds, parts.kind, text, "workload",
+                                               workload_names);
   if (kind == WorkloadKind::Mutations) {
-    if (colon == std::string_view::npos || colon + 1 >= text.size()) {
+    if (!parts.params || parts.params->empty()) {
       throw ContractViolation("workload 'mutations' needs a base: mutations:WORKLOAD "
                               "(registered: " +
                               workload_names() + ")");
     }
-    WorkloadSpec spec = WorkloadSpec::mutations(parse_workload(text.substr(colon + 1)));
+    WorkloadSpec spec = WorkloadSpec::mutations(parse_workload(*parts.params));
     validate(spec);
     return spec;
   }
 
   WorkloadSpec spec = blank(kind);
-  if (colon == std::string_view::npos) {
+  if (!parts.params) {
     validate(spec);
     return spec;
   }
-
-  std::vector<std::string> seen_keys;
-  std::string_view rest = text.substr(colon + 1);
-  while (true) {
-    const std::size_t comma = rest.find(',');
-    const std::string param(rest.substr(0, comma));
-    const std::size_t equals = param.find('=');
-    if (param.empty() || equals == 0 || equals == std::string::npos ||
-        equals + 1 >= param.size()) {
-      throw ContractViolation("workload '" + token + "': malformed parameter '" + param +
-                              "' (want key=value)");
-    }
-    const std::string key = param.substr(0, equals);
-    const std::string value = param.substr(equals + 1);
-    for (const std::string& earlier : seen_keys) {
-      if (earlier == key) {
-        throw ContractViolation("workload '" + token + "': duplicate parameter '" + key + "'");
-      }
-    }
-    seen_keys.push_back(key);
-
-    const std::string at = "workload '" + token + "': " + key;
-    const auto accepts = [&](std::initializer_list<WorkloadKind> kinds) {
-      for (const WorkloadKind k : kinds) {
-        if (k == kind) {
-          return true;
-        }
-      }
-      return false;
-    };
+  const std::string at = "workload '" + std::string(parts.kind) + "': ";
+  const auto accepts = [&](std::initializer_list<WorkloadKind> kinds) {
+    return std::find(kinds.begin(), kinds.end(), kind) != kinds.end();
+  };
+  const auto integer = [](std::string_view value, const std::string& what) {
+    return static_cast<std::uint32_t>(support::parse_integer(value, what));
+  };
+  for (const auto& [key, value] : support::parse_key_values(*parts.params, at)) {
+    const std::string what = at + std::string(key);
     if (key == "model") {
       if (value == "cd") {
         spec.model = radio::ChannelModel::CollisionDetection;
       } else if (value == "nocd") {
         spec.model = radio::ChannelModel::NoCollisionDetection;
       } else {
-        throw ContractViolation(at + " must be cd or nocd (got '" + value + "')");
+        throw ContractViolation(what + " must be cd or nocd (got '" + std::string(value) + "')");
       }
     } else if (key == "fast") {
-      spec.fast = parse_flag(value, at);
+      spec.fast = support::parse_flag(value, what);
     } else if (key == "n" && accepts({WorkloadKind::Random, WorkloadKind::Exhaustive,
                                       WorkloadKind::Tree, WorkloadKind::SingleHop})) {
-      spec.nodes = parse_number(value, at);
+      spec.nodes = integer(value, what);
     } else if (key == "p" && accepts({WorkloadKind::Random})) {
-      spec.edge_probability = parse_probability(value, at);
+      spec.edge_probability = support::parse_probability(value, what);
     } else if (key == "sigma" &&
                accepts({WorkloadKind::Random, WorkloadKind::Grid, WorkloadKind::Torus,
                         WorkloadKind::Hypercube, WorkloadKind::Tree,
                         WorkloadKind::SingleHop})) {
-      spec.span = parse_number(value, at);
+      spec.span = integer(value, what);
     } else if (key == "exact" && accepts({WorkloadKind::Random})) {
-      spec.exact = parse_flag(value, at);
+      spec.exact = support::parse_flag(value, what);
     } else if (key == "tau" && accepts({WorkloadKind::Exhaustive})) {
-      spec.max_tag = parse_number(value, at);
+      spec.max_tag = integer(value, what);
     } else if ((key == "rows" || key == "cols") &&
                accepts({WorkloadKind::Grid, WorkloadKind::Torus})) {
-      (key == "rows" ? spec.rows : spec.cols) = parse_number(value, at);
+      (key == "rows" ? spec.rows : spec.cols) = integer(value, what);
     } else if (key == "d" && accepts({WorkloadKind::Hypercube})) {
-      spec.dimension = parse_number(value, at);
+      spec.dimension = integer(value, what);
     } else {
-      throw ContractViolation("workload '" + token + "': unknown parameter '" + key + "'");
+      throw ContractViolation(at + "unknown parameter '" + std::string(key) + "'");
     }
-
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    rest = rest.substr(comma + 1);
   }
   validate(spec);
   return spec;

@@ -1,9 +1,6 @@
 #include "fault/fault.hpp"
 
-#include <array>
-#include <limits>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -15,7 +12,7 @@ namespace arl::fault {
 
 namespace {
 
-using support::ContractViolation;
+using support::require;
 
 /// Domain seed of the fault digest family — distinct from the workload/wire
 /// digest domain (0xD157) and the shard-report body domain (0xB0D7), so a
@@ -35,7 +32,7 @@ constexpr std::uint64_t kCrashStream = 3;
 constexpr std::uint64_t kWakeStream = 4;
 
 /// Registry-order kind tokens (the part of a name before ':').
-constexpr std::array<std::pair<FaultKind, const char*>, 5> kKinds = {{
+constexpr support::KindTokens<FaultKind, 5> kKinds = {{
     {FaultKind::None, "none"},
     {FaultKind::Drop, "drop"},
     {FaultKind::Corrupt, "corrupt"},
@@ -43,76 +40,26 @@ constexpr std::array<std::pair<FaultKind, const char*>, 5> kKinds = {{
     {FaultKind::AdversarialWake, "adversarial-wake"},
 }};
 
-const char* kind_token(FaultKind kind) {
-  for (const auto& [k, token] : kKinds) {
-    if (k == kind) {
-      return token;
-    }
-  }
-  return "?";
-}
-
-/// Shortest decimal spelling that round-trips to exactly `value` — the
-/// canonical form of probabilities in names (same idiom as workload names).
-std::string shortest_double(double value) {
-  for (int precision = 1; precision <= std::numeric_limits<double>::max_digits10;
-       ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    if (std::stod(out.str()) == value) {
-      return out.str();
-    }
-  }
-  return std::to_string(value);
-}
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    throw ContractViolation(what);
-  }
-}
-
 /// Parameter bounds, enforced by parse_fault AND the factories (a spec built
 /// by hand gets the same validation the grammar applies).
 void validate(const FaultSpec& spec) {
-  const std::string at = std::string("fault '") + kind_token(spec.kind) + "': ";
+  const std::string at = std::string("fault '") + support::kind_token(kKinds, spec.kind) + "': ";
   switch (spec.kind) {
     case FaultKind::Drop:
     case FaultKind::Corrupt:
-      check(spec.probability >= 0.0 && spec.probability <= 1.0,
-            at + "probability must be in [0, 1]");
+      require(spec.probability >= 0.0 && spec.probability <= 1.0,
+              at + "probability must be in [0, 1]");
       break;
     case FaultKind::Crash:
-      check(spec.crashes <= 1'000'000, at + "k must be in [0, 1000000]");
-      check(spec.window >= 1 && spec.window <= 1'000'000,
-            at + "window must be in [1, 1000000]");
+      require(spec.crashes <= 1'000'000, at + "k must be in [0, 1000000]");
+      require(spec.window >= 1 && spec.window <= 1'000'000,
+              at + "window must be in [1, 1000000]");
       break;
     case FaultKind::AdversarialWake:
-      check(spec.stagger <= 1'000'000, at + "W must be in [0, 1000000]");
+      require(spec.stagger <= 1'000'000, at + "W must be in [0, 1000000]");
       break;
     case FaultKind::None:
       break;
-  }
-}
-
-std::uint32_t parse_number(const std::string& value, const std::string& what) {
-  check(!value.empty() && value.size() <= 9 &&
-            value.find_first_not_of("0123456789") == std::string::npos,
-        what + " must be a decimal integer in [0, 999999999] (got '" + value + "')");
-  return static_cast<std::uint32_t>(std::stoul(value));
-}
-
-double parse_probability(const std::string& value, const std::string& what) {
-  // Only canonical non-negative spellings (support::is_canonical_number, the
-  // grammar every wire surface shares) — so a name parses to exactly the
-  // double its writer printed.
-  check(support::is_canonical_number(value),
-        what + " must be a decimal number (got '" + value + "')");
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    throw ContractViolation(what + " is out of range (got '" + value + "')");
   }
 }
 
@@ -170,27 +117,31 @@ bool FaultSpec::active() const {
 }
 
 std::string FaultSpec::name() const {
-  std::string out = kind_token(kind);
+  std::string out = support::kind_token(kKinds, kind);
+  const auto append = [&out](char separator, const std::string& parameter) {
+    out += separator;
+    out += parameter;
+  };
   switch (kind) {
     case FaultKind::None:
       break;
     case FaultKind::Drop:
-      out += ":" + shortest_double(probability);
+      append(':', support::shortest_double(probability));
       if (seed_split != 0) {
-        out += "," + std::to_string(seed_split);
+        append(',', std::to_string(seed_split));
       }
       break;
     case FaultKind::Corrupt:
-      out += ":" + shortest_double(probability);
+      append(':', support::shortest_double(probability));
       break;
     case FaultKind::Crash:
-      out += ":" + std::to_string(crashes);
+      append(':', std::to_string(crashes));
       if (window != kDefaultCrashWindow) {
-        out += "," + std::to_string(window);
+        append(',', std::to_string(window));
       }
       break;
     case FaultKind::AdversarialWake:
-      out += ":" + std::to_string(stagger);
+      append(':', std::to_string(stagger));
       break;
   }
   return out;
@@ -293,68 +244,46 @@ std::string fault_names() {
 }
 
 FaultSpec parse_fault(std::string_view text) {
-  const std::size_t colon = text.find(':');
-  const std::string token(text.substr(0, colon));
-  FaultKind kind = FaultKind::None;
-  bool known = false;
-  for (const auto& [k, name] : kKinds) {
-    if (token == name) {
-      kind = k;
-      known = true;
-      break;
-    }
-  }
-  if (!known) {
-    throw ContractViolation("unknown fault '" + std::string(text) +
-                            "' (registered: " + fault_names() + ")");
-  }
-
-  std::vector<std::string> params;
-  if (colon != std::string_view::npos) {
-    std::string_view rest = text.substr(colon + 1);
-    while (true) {
-      const std::size_t comma = rest.find(',');
-      params.emplace_back(rest.substr(0, comma));
-      if (comma == std::string_view::npos) {
-        break;
-      }
-      rest = rest.substr(comma + 1);
-    }
-  }
-  const std::string at = "fault '" + token + "': ";
+  const support::SpecText parts = support::split_spec(text);
+  FaultSpec spec;
+  spec.kind = support::find_kind(kKinds, parts.kind, text, "fault", fault_names);
+  const std::vector<std::string_view> params =
+      parts.params ? support::split(*parts.params, ',') : std::vector<std::string_view>{};
+  const std::string at = "fault '" + std::string(parts.kind) + "': ";
   const auto arity = [&](std::size_t min_params, std::size_t max_params,
                          const std::string& grammar) {
-    check(params.size() >= min_params && params.size() <= max_params,
-          at + "takes " + grammar + " (got '" + std::string(text) + "')");
+    require(params.size() >= min_params && params.size() <= max_params,
+            at + "takes " + grammar + " (got '" + std::string(text) + "')");
+  };
+  const auto integer = [&](std::size_t i, const char* what) {
+    return static_cast<std::uint32_t>(support::parse_integer(params[i], at + what));
   };
 
-  FaultSpec spec;
-  spec.kind = kind;
-  switch (kind) {
+  switch (spec.kind) {
     case FaultKind::None:
       arity(0, 0, "no parameters");
       break;
     case FaultKind::Drop:
       arity(1, 2, "drop:P[,SPLIT]");
-      spec.probability = parse_probability(params[0], at + "P");
+      spec.probability = support::parse_probability(params[0], at + "P");
       if (params.size() == 2) {
-        spec.seed_split = parse_number(params[1], at + "SPLIT");
+        spec.seed_split = integer(1, "SPLIT");
       }
       break;
     case FaultKind::Corrupt:
       arity(1, 1, "corrupt:P");
-      spec.probability = parse_probability(params[0], at + "P");
+      spec.probability = support::parse_probability(params[0], at + "P");
       break;
     case FaultKind::Crash:
       arity(1, 2, "crash:K[,WINDOW]");
-      spec.crashes = parse_number(params[0], at + "K");
+      spec.crashes = integer(0, "K");
       if (params.size() == 2) {
-        spec.window = parse_number(params[1], at + "WINDOW");
+        spec.window = integer(1, "WINDOW");
       }
       break;
     case FaultKind::AdversarialWake:
       arity(1, 1, "adversarial-wake:W");
-      spec.stagger = parse_number(params[0], at + "W");
+      spec.stagger = integer(0, "W");
       break;
   }
   validate(spec);

@@ -12,30 +12,6 @@ namespace arl::serve {
 
 namespace {
 
-/// Splits on single spaces, rejecting empty fields (leading, trailing or
-/// doubled separators) — the same discipline as the shard-report tokenizer,
-/// so the two wire formats fail identically on sloppy framing.
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t space = line.find(' ', start);
-    const std::size_t end = space == std::string_view::npos ? line.size() : space;
-    if (end == start) {
-      throw ProtoError("empty field (doubled, leading or trailing space)");
-    }
-    tokens.push_back(line.substr(start, end - start));
-    if (space == std::string_view::npos) {
-      break;
-    }
-    start = space + 1;
-  }
-  if (line.empty()) {
-    throw ProtoError("empty line");
-  }
-  return tokens;
-}
-
 std::uint64_t parse_u64(std::string_view token, std::string_view what,
                         std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const std::optional<std::uint64_t> value = support::parse_decimal_u64(token, max);
@@ -112,55 +88,20 @@ SweepRequest parse_sweep_fields(const std::vector<std::string_view>& tokens, std
   SweepRequest sweep;
 
   const std::string_view workload = require_field(tokens, cursor, "workload");
-  try {
-    sweep.workload = engine::parse_workload(workload);
-  } catch (const support::ContractViolation& violation) {
-    throw ProtoError("bad workload: " + std::string(violation.what()));
-  }
-  if (sweep.workload.name() != workload) {
-    throw ProtoError("workload must use its canonical spelling '" + sweep.workload.name() +
-                     "' (got '" + std::string(workload) + "')");
-  }
+  sweep.workload =
+      support::parse_canonical<ProtoError>(workload, "workload", engine::parse_workload);
 
   const std::string_view protocols = require_field(tokens, cursor, "protocols");
   sweep.protocols.clear();
-  std::size_t start = 0;
-  while (start <= protocols.size()) {
-    const std::size_t comma = protocols.find(',', start);
-    const std::size_t end = comma == std::string_view::npos ? protocols.size() : comma;
-    const std::string_view token = protocols.substr(start, end - start);
-    if (token.empty()) {
-      throw ProtoError("protocol list has an empty entry");
-    }
-    core::ProtocolSpec spec;
-    try {
-      spec = core::parse_protocol(token);
-    } catch (const support::ContractViolation& violation) {
-      throw ProtoError("bad protocol: " + std::string(violation.what()));
-    }
-    if (spec.name() != token) {
-      throw ProtoError("protocol must use its canonical spelling '" + spec.name() + "' (got '" +
-                       std::string(token) + "')");
-    }
-    sweep.protocols.push_back(spec);
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    start = comma + 1;
+  for (const std::string_view name : support::split(protocols, ',')) {
+    sweep.protocols.push_back(
+        support::parse_canonical<ProtoError>(name, "protocol", core::parse_protocol));
   }
 
   sweep.seed = parse_u64(require_field(tokens, cursor, "seed"), "seed");
 
   if (const auto fault = take_field(tokens, cursor, "fault")) {
-    try {
-      sweep.fault = fault::parse_fault(*fault);
-    } catch (const support::ContractViolation& violation) {
-      throw ProtoError("bad fault: " + std::string(violation.what()));
-    }
-    if (sweep.fault.name() != *fault) {
-      throw ProtoError("fault must use its canonical spelling '" + sweep.fault.name() +
-                       "' (got '" + std::string(*fault) + "')");
-    }
+    sweep.fault = support::parse_canonical<ProtoError>(*fault, "fault", fault::parse_fault);
     if (!sweep.fault.active()) {
       // The inactive plan is spelled by absence; one canonical line per request.
       throw ProtoError("fault 'none' is spelled by omitting the field");
@@ -329,7 +270,7 @@ Request parse_request(std::string_view line) {
     throw ProtoError("request line exceeds the " + std::to_string(kMaxRequestLineBytes) +
                      "-byte bound");
   }
-  const std::vector<std::string_view> tokens = tokenize(line);
+  const std::vector<std::string_view> tokens = support::wire_fields<ProtoError>(line);
   check_tag(tokens);
   Request request;
   if (tokens[2] == "ping") {
@@ -418,7 +359,7 @@ std::optional<Response> match_response(std::string_view line) {
     return response;
   }
 
-  const std::vector<std::string_view> tokens = tokenize(line);
+  const std::vector<std::string_view> tokens = support::wire_fields<ProtoError>(line);
   check_tag(tokens);
   const std::string_view kind = tokens[2];
   const auto expect_size = [&](std::size_t want) {

@@ -372,16 +372,8 @@ struct SweepServer::Impl {
         result.request_cache = {delta.hits, delta.misses, delta.schedule_builds};
       }
 
-      dist::SweepKey key;
-      key.description = request.workload.name();
-      key.digest = request.workload.digest();
-      key.seed = request.seed;
-      key.total_jobs = sweep.count;
-      key.fault = request.fault.name();
-      key.protocols.reserve(request.protocols.size());
-      for (const core::ProtocolSpec& protocol : request.protocols) {
-        key.protocols.push_back(protocol.name());
-      }
+      dist::SweepKey key = dist::make_sweep_key(request.workload, request.protocols, request.seed,
+                                                request.fault, sweep.count);
       std::ostringstream out;
       dist::write_shard_report(dist::make_shard_report(std::move(key), range, std::move(report)),
                                out);

@@ -212,15 +212,21 @@ bool make_directories(const std::string& path) {
 #endif
 }
 
+/// How write_entry_atomically ended.
+enum class WriteOutcome { Written, Exists, Failed };
+
 /// Writes `text` to `final_path` via a private tmp sibling: write, fsync,
-/// rename, fsync the directory.  Returns false on any failure (the tmp file
-/// is unlinked best-effort; the final path is never left partial).
-bool write_entry_atomically(const std::string& directory, const std::string& final_path,
-                            const std::string& tmp_path, const std::string& text) {
+/// publish, fsync the directory.  `no_clobber` publishes with link(), which
+/// fails atomically when an entry already exists (Exists); otherwise
+/// rename() replaces it.  The tmp file is unlinked either way; the final
+/// path is never left partial.
+WriteOutcome write_entry_atomically(const std::string& directory, const std::string& final_path,
+                                    const std::string& tmp_path, const std::string& text,
+                                    bool no_clobber) {
 #if ARL_STORE_HAS_POSIX_IO
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    return false;
+    return WriteOutcome::Failed;
   }
   std::size_t written = 0;
   bool ok = true;
@@ -237,33 +243,40 @@ bool write_entry_atomically(const std::string& directory, const std::string& fin
   }
   ok = ok && ::fsync(fd) == 0;
   ok = ::close(fd) == 0 && ok;
-  ok = ok && ::rename(tmp_path.c_str(), final_path.c_str()) == 0;
-  if (!ok) {
+  if (ok && no_clobber) {
+    const bool linked = ::link(tmp_path.c_str(), final_path.c_str()) == 0;
+    const bool exists = !linked && errno == EEXIST;
     ::unlink(tmp_path.c_str());
-    return false;
+    if (!linked) {
+      return exists ? WriteOutcome::Exists : WriteOutcome::Failed;
+    }
+  } else if (!ok || ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    ::unlink(tmp_path.c_str());
+    return WriteOutcome::Failed;
   }
-  // Make the rename itself durable.
+  // Make the publication itself durable.
   const int dir_fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
   if (dir_fd >= 0) {
     (void)::fsync(dir_fd);
     (void)::close(dir_fd);
   }
-  return true;
+  return WriteOutcome::Written;
 #else
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     out << text;
     if (!out.good()) {
       std::remove(tmp_path.c_str());
-      return false;
+      return WriteOutcome::Failed;
     }
   }
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     std::remove(tmp_path.c_str());
-    return false;
+    return WriteOutcome::Failed;
   }
   (void)directory;
-  return true;
+  (void)no_clobber;  // no portable no-clobber publish: save()'s pre-check is all there is
+  return WriteOutcome::Written;
 #endif
 }
 
@@ -341,8 +354,11 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
 
   // An entry on disk is at least classification-complete; only a schedule
   // upgrade justifies rewriting it (and a classification-only save must
-  // never downgrade a schedule-bearing entry).
-  if (compiled.schedule == nullptr && file_exists(path)) {
+  // never downgrade a schedule-bearing entry).  The pre-check saves the
+  // write; the no-clobber publish below closes the race with a concurrent
+  // schedule-bearing save of the same key, in this process or another.
+  const bool no_clobber = compiled.schedule == nullptr;
+  if (no_clobber && file_exists(path)) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.skipped;
     return;
@@ -361,12 +377,18 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
 #endif
 
   const std::string text = compose_entry(key, configuration, model, fast_classifier, compiled);
-  const bool ok = write_entry_atomically(directory_, path, tmp_path, text);
+  const WriteOutcome outcome = write_entry_atomically(directory_, path, tmp_path, text, no_clobber);
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (ok) {
-    ++stats_.saves;
-  } else {
-    ++stats_.errors;
+  switch (outcome) {
+    case WriteOutcome::Written:
+      ++stats_.saves;
+      break;
+    case WriteOutcome::Exists:
+      ++stats_.skipped;
+      break;
+    case WriteOutcome::Failed:
+      ++stats_.errors;
+      break;
   }
 }
 

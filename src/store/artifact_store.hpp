@@ -35,9 +35,12 @@
 /// and reads as a miss — never as a wrong artifact.
 ///
 /// Writes are crash-safe: the entry is composed in memory, written to a
-/// private `*.tmp*` sibling, fsync'd, renamed over the final name, and the
-/// directory fsync'd — a process killed mid-write leaves at most a `.tmp`
-/// file that no load will ever open.
+/// private `*.tmp*` sibling, fsync'd, published under the final name, and
+/// the directory fsync'd — a process killed mid-write leaves at most a
+/// `.tmp` file that no load will ever open.  A schedule-bearing entry is
+/// published with rename() (it may upgrade a classification-only one); a
+/// classification-only entry with link(), which never replaces an existing
+/// entry, so no interleaving of saves downgrades a schedule-bearing entry.
 
 #include <cstdint>
 #include <memory>
@@ -54,7 +57,7 @@ struct ArtifactStoreStats {
   std::uint64_t hits = 0;      ///< loads that produced a verified artifact
   std::uint64_t misses = 0;    ///< loads that found no entry file
   std::uint64_t rejected = 0;  ///< loads that found a corrupt/mismatched file (counts as a miss)
-  std::uint64_t saves = 0;     ///< entries written (tmp+rename completed)
+  std::uint64_t saves = 0;     ///< entries written (tmp file published)
   std::uint64_t skipped = 0;   ///< saves elided because the entry on disk is already as good
   std::uint64_t errors = 0;    ///< I/O failures (the store keeps working; results are unaffected)
 
@@ -65,8 +68,8 @@ struct ArtifactStoreStats {
 };
 
 /// The on-disk tier.  Thread-safe: loads and saves take no lock beyond the
-/// stats mutex (distinct keys touch distinct files; same-key racers both
-/// write equivalent bytes and rename atomically).  All I/O failures are
+/// stats mutex (distinct keys touch distinct files; same-key racers publish
+/// atomically, and a classification-only racer never replaces an entry).  All I/O failures are
 /// absorbed into the stats — the store degrades to "always miss" rather
 /// than failing a sweep.
 class ArtifactStore {
@@ -83,7 +86,7 @@ class ArtifactStore {
   [[nodiscard]] std::shared_ptr<const core::CompiledConfiguration> load(
       const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier);
 
-  /// Persists the entry (tmp+rename+fsync).  Skips the write when the file
+  /// Persists the entry (tmp+publish+fsync).  Skips the save when an entry
   /// already exists and `compiled` carries no schedule — an existing entry
   /// is at least as complete, and a schedule-bearing entry must never be
   /// downgraded to a classification-only one.

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "support/assert.hpp"
@@ -56,8 +57,10 @@ std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const
     return fallback;
   }
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  ARL_EXPECTS(end != value->c_str() && *end == '\0', "malformed integer for --" + name);
+  ARL_EXPECTS(end != value->c_str() && *end == '\0' && errno != ERANGE,
+              "malformed or out-of-range integer for --" + name);
   return parsed;
 }
 

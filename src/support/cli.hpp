@@ -30,7 +30,8 @@ class Args {
   /// (empty when the flag was never given).
   [[nodiscard]] std::vector<std::string> get_strings(const std::string& name) const;
 
-  /// Integer value of `--name=value`, or `fallback` when absent.
+  /// Integer value of `--name=value`, or `fallback` when absent.  A value
+  /// outside the int64 range throws rather than clamping.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
 
   /// Double value of `--name=value`, or `fallback` when absent.

@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file parse.hpp
-/// Strict numeric grammar shared by the text surfaces that must agree on
-/// one canonical spelling of a number: workload names (engine/workload.cpp,
-/// whose `p=` values travel inside shard-report descriptions), the
-/// shard-report wire format (dist/report_io.cpp) and the sweep-service
-/// request protocol (serve/serve_proto.cpp).  One predicate and one integer
-/// parser, so the parsers can never drift apart on what a number looks like.
+/// The grammar the text surfaces share, so their parsers cannot drift apart
+/// on what a number or a spec looks like: the protocol, workload and fault
+/// registries (specs spelled `kind[:params]`), the shard-report wire format
+/// (dist/report_io.cpp) and the sweep-service protocol
+/// (serve/serve_proto.cpp).  A new registry or axis is a kind table and a
+/// switch over these helpers, not another parser.
 ///
 /// `TokenCursor` serves the artifact text formats (config::to_text,
 /// classification_to_text, schedule_to_text), whose hot lines carry
@@ -17,12 +17,18 @@
 /// re-deriving it.  The cursor scans a line in place with std::from_chars:
 /// no allocation, no locale, no stream state.
 
+#include <array>
 #include <charconv>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
+#include <vector>
+
+#include "support/assert.hpp"
 
 namespace arl::support {
 
@@ -128,5 +134,125 @@ class TokenCursor {
   const char* pos_;
   const char* end_;
 };
+
+// ------------------------------------------------------------- spec grammar
+
+/// The largest integer a spec parameter may spell (nine digits); each
+/// registry's validation then applies the field's own bound.
+inline constexpr std::uint64_t kMaxSpecInteger = 999'999'999;
+
+/// Throws support::ContractViolation(message) unless `ok`.  The usage-error
+/// twin of ARL_EXPECTS: the message carries no source location, because the
+/// CLI shows it verbatim.
+void require(bool ok, const std::string& message);
+
+/// A spec split at its first ':'.  `params` is nullopt when there is no ':'
+/// at all, so "drop" (no parameter list) and "drop:" (one empty parameter)
+/// stay distinct.
+struct SpecText {
+  std::string_view kind;
+  std::optional<std::string_view> params;
+};
+[[nodiscard]] SpecText split_spec(std::string_view text);
+
+/// The fields between `separator`s, empty ones kept: "a,,b" has three
+/// fields and "" has one.
+[[nodiscard]] std::vector<std::string_view> split(std::string_view text, char separator);
+
+/// The fields of a wire line split on single spaces.  Throws the wire's own
+/// `Error` on an empty field (a leading, trailing or doubled space, or an
+/// empty line): both wire formats accept exactly one spelling of a line.
+template <typename Error>
+[[nodiscard]] std::vector<std::string_view> wire_fields(std::string_view line) {
+  std::vector<std::string_view> fields = split(line, ' ');
+  for (const std::string_view field : fields) {
+    if (field.empty()) {
+      throw Error("empty field in line '" + std::string(line) + "'");
+    }
+  }
+  return fields;
+}
+
+/// A registry's kind tokens (the part of a spec before ':') in registry
+/// order: one table serves both directions of the lookup.
+template <typename Kind, std::size_t N>
+using KindTokens = std::array<std::pair<Kind, const char*>, N>;
+
+/// The token naming `kind` ("?" for a kind outside the table).
+template <typename Kind, std::size_t N>
+[[nodiscard]] constexpr const char* kind_token(const KindTokens<Kind, N>& tokens, Kind kind) {
+  for (const auto& [k, name] : tokens) {
+    if (k == kind) {
+      return name;
+    }
+  }
+  return "?";
+}
+
+/// The kind `token` names.  Throws support::ContractViolation
+/// "unknown <noun> '<text>' (registered: <registered()>)" otherwise, where
+/// `text` is the whole spec as given.
+template <typename Kind, std::size_t N>
+[[nodiscard]] Kind find_kind(const KindTokens<Kind, N>& tokens, std::string_view token,
+                             std::string_view text, std::string_view noun,
+                             std::string (*registered)()) {
+  for (const auto& [k, name] : tokens) {
+    if (token == name) {
+      return k;
+    }
+  }
+  throw ContractViolation("unknown " + std::string(noun) + " '" + std::string(text) +
+                          "' (registered: " + registered() + ")");
+}
+
+/// A comma-separated `key=value` list, in order.  Throws
+/// support::ContractViolation, prefixed with `at`, on a field without a
+/// nonempty key and value and on a repeated key.
+[[nodiscard]] std::vector<std::pair<std::string_view, std::string_view>> parse_key_values(
+    std::string_view params, const std::string& at);
+
+/// A digits-only integer in [min, max] (parse_decimal_u64: no sign, space,
+/// base prefix or exponent).  Throws support::ContractViolation
+/// "<what> must be a decimal integer in [min, max] (got '<text>')".
+[[nodiscard]] std::uint64_t parse_integer(std::string_view text, const std::string& what,
+                                          std::uint64_t max = kMaxSpecInteger,
+                                          std::uint64_t min = 0);
+
+/// The double a canonical number (is_canonical_number) spells, or nullopt
+/// for any other text and for values outside double's range.
+[[nodiscard]] std::optional<double> parse_canonical_double(std::string_view text);
+
+/// parse_canonical_double for a spec parameter such as an edge or fault
+/// probability; throws support::ContractViolation naming `what`.  The
+/// [0, 1] bound is the registry's own validation.
+[[nodiscard]] double parse_probability(std::string_view text, const std::string& what);
+
+/// "0" or "1"; throws support::ContractViolation naming `what` otherwise.
+[[nodiscard]] bool parse_flag(std::string_view text, const std::string& what);
+
+/// Shortest decimal spelling that round-trips to exactly `value`: the
+/// canonical form of a probability in a spec name ("0.3", not
+/// "0.29999999999999999").
+[[nodiscard]] std::string shortest_double(double value);
+
+/// Parses a spec name a wire carries with its registry's `parse` and
+/// requires the spec's canonical name to be `text` itself: a spec travels
+/// only as the one spelling its writer prints, so two readers equate
+/// exactly what the registry equates.  Throws the wire's own `Error`,
+/// "bad <noun>: <reason>", on an unparseable or non-canonical name.
+template <typename Error, typename Parse>
+[[nodiscard]] auto parse_canonical(std::string_view text, const char* noun, Parse parse) {
+  decltype(parse(text)) spec;
+  try {
+    spec = parse(text);
+  } catch (const ContractViolation& error) {
+    throw Error(std::string("bad ") + noun + ": " + error.what());
+  }
+  if (spec.name() != text) {
+    throw Error(std::string("bad ") + noun + ": '" + std::string(text) +
+                "' is not in canonical form (want '" + spec.name() + "')");
+  }
+  return spec;
+}
 
 }  // namespace arl::support

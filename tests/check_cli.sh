@@ -440,6 +440,30 @@ if ! diff <(filter "$tmpdir/resumed.txt") <(filter "$tmpdir/single.txt") >/dev/n
   fail "resumed merge should print exactly the uninterrupted sweep tables"
 fi
 
+# --seed takes the full u64 range and nothing else: the seed merge --missing
+# prints back must rerun the same sweep, even above 2^63.
+for value in -5 18446744073709551616 +5 " 5" 0x5 1e3 ""; do
+  "$cli" sweep --count=1 "--seed=$value" >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "--seed='$value' should exit 2"
+done
+big_seed=18446744073709551611
+"$cli" sweep $sweep_flags --seed=$big_seed > "$tmpdir/big-single.txt" 2>&1 ||
+  fail "a sweep at --seed=$big_seed should exit 0"
+"$cli" sweep $sweep_flags --seed=$big_seed --shard=0-10 --out="$tmpdir/b0.txt" >/dev/null 2>&1 ||
+  fail "a shard at --seed=$big_seed should exit 0"
+out=$("$cli" merge --missing "$tmpdir/b0.txt" 2>/dev/null)
+case "$out" in
+  *"--seed=$big_seed "*) ;;
+  *) fail "merge --missing should print the u64 seed back: $out" ;;
+esac
+(cd "$tmpdir" && eval "'$cli' ${out#arl }" >/dev/null 2>&1) ||
+  fail "the emitted resume spec at --seed=$big_seed should run and exit 0"
+"$cli" merge "$tmpdir/b0.txt" "$tmpdir/resume-10-24.txt" > "$tmpdir/big-resumed.txt" 2>&1 ||
+  fail "survivor + resumed shard at --seed=$big_seed should merge"
+if ! diff <(filter "$tmpdir/big-resumed.txt") <(filter "$tmpdir/big-single.txt") >/dev/null; then
+  fail "the resumed merge at --seed=$big_seed should print the uninterrupted tables"
+fi
+
 # ------------------------------------------------------------------ faults
 
 # The fault registry listing exits 0 and names every fault kind.

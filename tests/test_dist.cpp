@@ -47,24 +47,9 @@ engine::CountedSweep registry_sweep() {
                                          {.count = kConfigurations});
 }
 
-/// The sweep identity of a (workload, sweep, protocols) triple — what
-/// make_sweep_key in the CLI builds.
-dist::SweepKey workload_key(const engine::WorkloadSpec& workload,
-                            const engine::CountedSweep& sweep,
-                            const std::vector<core::ProtocolSpec>& protocols) {
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = kSeed;
-  key.total_jobs = sweep.count;
-  for (const core::ProtocolSpec& protocol : protocols) {
-    key.protocols.push_back(protocol.name());
-  }
-  return key;
-}
-
 dist::SweepKey registry_key(const engine::CountedSweep& sweep) {
-  return workload_key(registry_workload(), sweep, core::registered_protocols());
+  return dist::make_sweep_key(registry_workload(), core::registered_protocols(), kSeed,
+                              fault::FaultSpec::none(), sweep.count);
 }
 
 engine::BatchReport run_unsharded(const engine::CountedSweep& sweep) {
@@ -333,11 +318,9 @@ TEST(MergeAlgebra, EmptySweepMergesToEmptyReport) {
   empty.source = [](engine::JobId) -> engine::BatchJob {
     throw support::ContractViolation("an empty sweep has no jobs");
   };
-  dist::SweepKey key;
-  key.description = engine::WorkloadSpec::staggered().name();
-  key.digest = engine::WorkloadSpec::staggered().digest();
-  key.total_jobs = 0;
-  key.protocols = {core::ProtocolSpec::canonical().name()};
+  const dist::SweepKey key = dist::make_sweep_key(engine::WorkloadSpec::staggered(),
+                                                  {core::ProtocolSpec::canonical()}, 0,
+                                                  fault::FaultSpec::none(), 0);
 
   std::vector<dist::ShardReport> shards;
   for (const dist::JobRange& range : dist::shard_ranges(0, 3)) {
@@ -367,7 +350,8 @@ TEST_P(WorkloadMergeAlgebra, ShardedRunsMergeBitIdenticalToUnsharded) {
   const std::vector<core::ProtocolSpec> protocols = {core::ProtocolSpec::canonical(),
                                                      core::ProtocolSpec::classify_only()};
   const engine::CountedSweep sweep = workload.instantiate(kSeed, protocols, {.count = 3});
-  const dist::SweepKey key = workload_key(workload, sweep, protocols);
+  const dist::SweepKey key =
+      dist::make_sweep_key(workload, protocols, kSeed, fault::FaultSpec::none(), sweep.count);
   ASSERT_GT(sweep.count, 0u);
 
   const engine::BatchReport unsharded = run_unsharded(sweep);

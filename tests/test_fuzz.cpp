@@ -504,14 +504,8 @@ std::string reference_shard_report_text() {
                                                      core::ProtocolSpec::binary_search()};
   const engine::CountedSweep counted = workload.instantiate(11, protocols, {.count = 4});
 
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = 11;
-  key.total_jobs = counted.count;
-  for (const core::ProtocolSpec& protocol : protocols) {
-    key.protocols.push_back(protocol.name());
-  }
+  const dist::SweepKey key =
+      dist::make_sweep_key(workload, protocols, 11, fault::FaultSpec::none(), counted.count);
 
   engine::BatchRunner runner({.threads = 1, .seed = 11, .cache_capacity = 64});
   std::vector<dist::ShardReport> pieces;
@@ -611,15 +605,8 @@ std::string faulted_shard_report_text() {
                                                      core::ProtocolSpec::binary_search()};
   const engine::CountedSweep counted = workload.instantiate(11, protocols, {.count = 4});
 
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = 11;
-  key.total_jobs = counted.count;
-  key.fault = "drop:0.2";
-  for (const core::ProtocolSpec& protocol : protocols) {
-    key.protocols.push_back(protocol.name());
-  }
+  const dist::SweepKey key = dist::make_sweep_key(workload, protocols, 11,
+                                                  fault::FaultSpec::drop(0.2), counted.count);
 
   engine::BatchRunner runner(
       {.threads = 1, .seed = 11, .fault = fault::FaultSpec::drop(0.2)});
@@ -660,12 +647,12 @@ TEST(ShardReportFuzz, FaultLineMutationsAreAlwaysRejected) {
   // Spelling mutations: non-canonical ("drop:0.20"), inactive ("none",
   // "drop:0"), unknown and malformed specs.  Each breaks the canonical-
   // spelling contract — and the digest, for defense in depth.
-  for (const std::string& respelled :
+  for (const char* respelled :
        {"fault drop:0.20", "fault none", "fault drop:0", "fault bogus", "fault drop:",
         "fault drop:0.2 extra", "fault"}) {
     std::string mutated = text;
     mutated.replace(line_start, line_end - line_start, respelled);
-    expect_rejected(mutated, "'" + respelled + "'");
+    expect_rejected(mutated, std::string("'") + respelled + "'");
   }
 
   // Every single-byte corruption of the line (spec characters and the

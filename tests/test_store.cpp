@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "config/families.hpp"
@@ -356,6 +359,42 @@ TEST_F(StoreTest, ClassificationOnlySaveNeverDowngradesASchedule) {
   const auto loaded = store.load(c, radio::ChannelModel::CollisionDetection, false);
   ASSERT_NE(loaded, nullptr);
   EXPECT_NE(loaded->schedule, nullptr) << "schedule-bearing entry was downgraded";
+}
+
+TEST_F(StoreTest, RacingSavesOfOneKeyNeverDowngradeASchedule) {
+  // A classification-only save racing a schedule-bearing save of the same
+  // key from another thread: on every interleaving the entry ends up
+  // schedule-bearing.  A check-then-rename publish fails this when the
+  // classification-only save passes its check before the schedule lands
+  // and renames after it.
+  const config::Configuration c = config::family_g(2);
+  const radio::ChannelModel model = radio::ChannelModel::CollisionDetection;
+  const core::CompiledConfiguration full = compile(c, model, true);
+  const core::CompiledConfiguration classify_only = compile(c, model, false);
+  ASSERT_NE(full.schedule, nullptr);
+
+  store::ArtifactStore store(dir_);
+  const std::string path = store.entry_path(c, model, false);
+  for (int round = 0; round < 100; ++round) {
+    (void)::unlink(path.c_str());
+    std::atomic<int> ready{0};
+    const auto save = [&](const core::CompiledConfiguration& compiled) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+        std::this_thread::yield();  // start both saves together
+      }
+      store.save(c, model, false, compiled);
+    };
+    std::thread classify(save, std::cref(classify_only));
+    std::thread schedule(save, std::cref(full));
+    classify.join();
+    schedule.join();
+    const auto loaded = store.load(c, model, false);
+    ASSERT_NE(loaded, nullptr) << "round " << round;
+    ASSERT_NE(loaded->schedule, nullptr) << "round " << round << ": the entry was downgraded";
+  }
+  EXPECT_TRUE(tmp_files().empty());
+  EXPECT_EQ(store.stats().errors, 0u);
 }
 
 TEST_F(StoreTest, ScheduleBearingSaveUpgradesAClassificationOnlyEntry) {

@@ -1,13 +1,19 @@
 /// \file test_support.cpp
 /// Unit tests for the support library: contracts, PRNG, tables, CLI parsing,
-/// thread pool, line framing.
+/// thread pool, line framing, and the spec grammar the three registries and
+/// both wire readers share.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
+#include "core/protocol.hpp"
+#include "engine/workload.hpp"
+#include "fault/fault.hpp"
 #include "support/assert.hpp"
 #include "support/cli.hpp"
 #include "support/line_io.hpp"
@@ -210,9 +216,10 @@ TEST(Args, DefaultsWhenAbsent) {
 }
 
 TEST(Args, MalformedNumbersThrow) {
-  const char* argv[] = {"prog", "--n=abc"};
-  const Args args(2, argv);
+  const char* argv[] = {"prog", "--n=abc", "--big=9223372036854775808"};
+  const Args args(3, argv);
   EXPECT_THROW((void)args.get_int("n", 0), ContractViolation);
+  EXPECT_THROW((void)args.get_int("big", 0), ContractViolation);  // clamped before
 }
 
 // -------------------------------------------------------------- thread pool
@@ -334,6 +341,109 @@ TEST(ParseDecimalU64, RejectsNonCanonicalAndOutOfRange) {
   EXPECT_EQ(parse_decimal_u64("18446744073709551616"), std::nullopt);  // 2^64
   EXPECT_EQ(parse_decimal_u64("11", 10), std::nullopt);                // above max
   EXPECT_EQ(parse_decimal_u64("10", 10), 10u);                         // at max
+}
+
+// -------------------------------------------------------------- spec grammar
+
+TEST(SpecGrammar, EveryRegistryRejectsTheSameBadNumbers) {
+  // One integer grammar behind every numeric spec parameter: digits only,
+  // whichever registry the parameter belongs to.
+  const std::vector<std::pair<std::string, std::function<void(const std::string&)>>> rows = {
+      {"binary-search:", [](const std::string& t) { (void)arl::core::parse_protocol(t); }},
+      {"randomized:", [](const std::string& t) { (void)arl::core::parse_protocol(t); }},
+      {"random:n=", [](const std::string& t) { (void)arl::engine::parse_workload(t); }},
+      {"crash:", [](const std::string& t) { (void)arl::fault::parse_fault(t); }},
+      {"adversarial-wake:", [](const std::string& t) { (void)arl::fault::parse_fault(t); }},
+  };
+  for (const auto& [prefix, parse] : rows) {
+    EXPECT_NO_THROW(parse(prefix + "5")) << prefix;  // the row is a valid spec around X
+    for (const char* bad : {"+5", " 5", "5 ", "-1", "0x5", "1e3", ""}) {
+      EXPECT_THROW(parse(prefix + bad), ContractViolation) << "'" << prefix << bad << "'";
+    }
+  }
+}
+
+TEST(SpecGrammar, IntegersStayWithinTheirBounds) {
+  EXPECT_EQ(parse_integer("63", "BITS", 63), 63u);
+  EXPECT_EQ(parse_integer("007", "n"), 7u);
+  EXPECT_EQ(parse_integer("18446744073709551615", "--seed",
+                          std::numeric_limits<std::uint64_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW((void)parse_integer("64", "BITS", 63), ContractViolation);
+  EXPECT_THROW((void)parse_integer("0", "SLOTS", 100, 1), ContractViolation);
+  EXPECT_THROW((void)parse_integer("1000000000", "n"), ContractViolation);  // kMaxSpecInteger
+  try {
+    (void)parse_integer("+5", "workload 'random': n");
+    FAIL() << "accepted '+5'";
+  } catch (const ContractViolation& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "workload 'random': n must be a decimal integer in [0, 999999999] (got '+5')");
+  }
+}
+
+TEST(SpecGrammar, SplitKeepsEveryField) {
+  using Fields = std::vector<std::string_view>;
+  EXPECT_EQ(split("a,,b", ','), (Fields{"a", "", "b"}));
+  EXPECT_EQ(split("a,", ','), (Fields{"a", ""}));
+  EXPECT_EQ(split("", ','), (Fields{""}));
+  EXPECT_EQ(split_spec("drop").kind, "drop");
+  EXPECT_EQ(split_spec("drop").params, std::nullopt);
+  EXPECT_EQ(split_spec("drop:").params, "");  // an empty list, not no list
+  EXPECT_EQ(split_spec("mutations:random:n=4").kind, "mutations");
+  EXPECT_EQ(split_spec("mutations:random:n=4").params, "random:n=4");  // first ':' only
+}
+
+TEST(SpecGrammar, WireFieldsRejectEmptyFieldsWithTheCallersError) {
+  EXPECT_EQ(wire_fields<std::runtime_error>("seed 5"),
+            (std::vector<std::string_view>{"seed", "5"}));
+  for (const char* line : {"", " seed 5", "seed 5 ", "seed  5"}) {
+    EXPECT_THROW((void)wire_fields<std::runtime_error>(line), std::runtime_error) << line;
+  }
+}
+
+TEST(SpecGrammar, KeyValuesRejectMalformedAndRepeatedKeys) {
+  const auto pairs = parse_key_values("n=4,p=0.5", "at: ");
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0], (std::pair<std::string_view, std::string_view>{"n", "4"}));
+  EXPECT_EQ(pairs[1], (std::pair<std::string_view, std::string_view>{"p", "0.5"}));
+  for (const char* bad : {"", "n", "n=", "=4", "n=4,", ",n=4", "n=4,n=5"}) {
+    EXPECT_THROW((void)parse_key_values(bad, "at: "), ContractViolation) << bad;
+  }
+  try {
+    (void)parse_key_values("n=4,n=5", "workload 'random': ");
+    FAIL() << "accepted a repeated key";
+  } catch (const ContractViolation& error) {
+    EXPECT_EQ(std::string(error.what()), "workload 'random': duplicate parameter 'n'");
+  }
+}
+
+TEST(SpecGrammar, ParseCanonicalAcceptsOnlyTheCanonicalName) {
+  const auto parse = [](std::string_view text) {
+    return parse_canonical<std::runtime_error>(text, "fault", arl::fault::parse_fault);
+  };
+  EXPECT_EQ(parse("drop:0.1"), arl::fault::FaultSpec::drop(0.1));
+  // A registry error and a non-canonical spelling both surface as the
+  // caller's error type, named by the noun.
+  for (const char* text : {"bogus", "drop:0.10", "crash:1,64", "drop:2"}) {
+    try {
+      (void)parse(text);
+      FAIL() << "accepted '" << text << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("bad fault: ", 0), 0u) << error.what();
+    }
+  }
+}
+
+TEST(SpecGrammar, NumbersSpellCanonically) {
+  EXPECT_EQ(shortest_double(0.3), "0.3");
+  EXPECT_EQ(shortest_double(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(parse_canonical_double("0.25"), 0.25);
+  EXPECT_EQ(parse_canonical_double("1e400"), std::nullopt);  // out of double's range
+  EXPECT_EQ(parse_canonical_double("-0.5"), std::nullopt);
+  EXPECT_THROW((void)parse_probability("inf", "p"), ContractViolation);
+  EXPECT_TRUE(parse_flag("1", "fast"));
+  EXPECT_FALSE(parse_flag("0", "fast"));
+  EXPECT_THROW((void)parse_flag("yes", "fast"), ContractViolation);
 }
 
 // ---------------------------------------------------------------- stopwatch

@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -74,6 +75,7 @@
 #include "serve/server.hpp"
 #include "radio/validator.hpp"
 #include "support/cli.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -331,6 +333,17 @@ radio::ChannelModel parse_model(const support::Args& args) {
   throw support::ContractViolation("--model must be cd or nocd");
 }
 
+/// The --seed of `gen`, `sweep` and `submit` (default 1): any u64, in the
+/// strict digits-only grammar, so every seed `arl merge --missing` prints
+/// back runs the same sweep.
+std::uint64_t seed_flag(const support::Args& args) {
+  if (!args.has("seed")) {
+    return 1;
+  }
+  return support::parse_integer(args.get_string("seed", ""), "--seed",
+                                std::numeric_limits<std::uint64_t>::max());
+}
+
 int cmd_gen(const support::Args& args) {
   const std::string family = args.get_string("family", "h");
   const auto m = static_cast<config::Tag>(args.get_int("m", 3));
@@ -350,7 +363,7 @@ int cmd_gen(const support::Args& args) {
     }
     config::to_text(config::single_hop(tags), std::cout);
   } else if (family == "random") {
-    support::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+    support::Rng rng(seed_flag(args));
     const auto sigma = static_cast<config::Tag>(args.get_int("sigma", 3));
     const double p = args.get_double("p", 0.3);
     config::to_text(
@@ -570,24 +583,6 @@ std::vector<core::ProtocolSpec> sweep_protocols(const support::Args& args) {
                                                   : core::ProtocolSpec::canonical());
   }
   return protocols;
-}
-
-/// The sweep identity shard reports carry (see dist/report_io.hpp): the
-/// workload's canonical name and digest plus the run-sizing fields.
-dist::SweepKey make_sweep_key(const engine::WorkloadSpec& workload, engine::JobId total_jobs,
-                              const std::vector<core::ProtocolSpec>& protocols,
-                              std::uint64_t seed, const fault::FaultSpec& fault) {
-  dist::SweepKey key;
-  key.description = workload.name();
-  key.digest = workload.digest();
-  key.seed = seed;
-  key.total_jobs = total_jobs;
-  key.fault = fault.name();
-  key.protocols.reserve(protocols.size());
-  for (const core::ProtocolSpec& protocol : protocols) {
-    key.protocols.push_back(protocol.name());
-  }
-  return key;
 }
 
 /// Prints the summary, cache and per-protocol tables of a batch report —
@@ -1047,7 +1042,7 @@ int cmd_sweep(const support::Args& args) {
 
   engine::BatchOptions batch_options;
   batch_options.threads = static_cast<unsigned>(threads_flag);
-  batch_options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  batch_options.seed = seed_flag(args);
   // Flag-validation throws (here and below) reach main()'s ContractViolation
   // handler, which exits 2 like every other usage error.
   batch_options.fault = sweep_fault(args);
@@ -1130,8 +1125,8 @@ int cmd_sweep(const support::Args& args) {
 
   const engine::CountedSweep sweep =
       workload.instantiate(batch_options.seed, protocols, {.count = count});
-  const dist::SweepKey key =
-      make_sweep_key(workload, sweep.count, protocols, batch_options.seed, batch_options.fault);
+  const dist::SweepKey key = dist::make_sweep_key(workload, protocols, batch_options.seed,
+                                                  batch_options.fault, sweep.count);
   if (shard) {
     return run_shard_sweep(sweep, key, batch_options, dist::shard_range(sweep.count, *shard),
                            args.get_string("out", ""));
@@ -1382,7 +1377,7 @@ int cmd_submit(const support::Args& args) {
   serve::SweepRequest request;
   request.workload = sweep_workload(args);
   request.protocols = sweep_protocols(args);
-  request.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  request.seed = seed_flag(args);
   request.fault = sweep_fault(args);
   if (args.has("count") && request.workload.bounded()) {
     std::cerr << "error: --count conflicts with the self-counting workload '"
