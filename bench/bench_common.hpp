@@ -14,11 +14,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 
+#include "engine/batch_runner.hpp"
+#include "engine/schedule_cache.hpp"
 #include "obs/json_snapshot.hpp"
 #include "support/table.hpp"
 
@@ -68,6 +72,43 @@ class JsonSnapshot : public obs::JsonSnapshot {
   /// silently, because a missing snapshot reads as "no data" downstream.
   void write(const std::string& name) const { write_file(flags().json_out + "/" + name); }
 };
+
+/// One engine's cache-warm cost on a fixed job set.
+struct SteadyRun {
+  double cold_millis = 0.0;    ///< the pass that filled the schedule cache
+  double steady_millis = 0.0;  ///< fastest warm batch of `passes` passes
+  engine::BatchReport report;  ///< the last warm batch
+};
+
+/// Times jobs [0, count) of `source` on one thread under `mode`.  A cold pass
+/// fills a schedule cache; then `passes` passes over the same jobs run as
+/// their own batch against it, repeated at least three times and until the
+/// warm batches add up to half a second.  The fastest warm batch is the
+/// steady cost: classification and compilation are cache hits, so it is the
+/// simulate-bound part of a job, and the minimum is the repeat the host
+/// disturbed least (a fast engine's batch lasts milliseconds, so it gets
+/// many repeats).  Warm-pass jobs keep distinct ids (pass p re-runs job j
+/// as id p * count + j), so coin and fault seeds differ per pass.
+inline SteadyRun steady_run(engine::JobId count, const engine::JobSource& source, int passes,
+                            engine::EngineMode mode, const fault::FaultSpec& fault = {}) {
+  constexpr int kMinRepeats = 3;
+  constexpr double kMinWarmMillis = 500.0;
+  engine::ScheduleCache cache(engine::ScheduleCache::kDefaultCapacity);
+  engine::RunOverrides overrides;
+  overrides.shared_cache = &cache;
+  engine::BatchRunner runner({.threads = 1, .engine = mode, .fault = fault});
+  SteadyRun run;
+  run.cold_millis = runner.run_range(0, count, source, overrides).wall_millis;
+  const engine::JobSource warm = [&](engine::JobId id) { return source(id % count); };
+  run.steady_millis = std::numeric_limits<double>::infinity();
+  double warm_millis = 0.0;
+  for (int repeat = 0; repeat < kMinRepeats || warm_millis < kMinWarmMillis; ++repeat) {
+    run.report = runner.run_range(0, count * static_cast<engine::JobId>(passes), warm, overrides);
+    warm_millis += run.report.wall_millis;
+    run.steady_millis = std::min(run.steady_millis, run.report.wall_millis);
+  }
+  return run;
+}
 
 }  // namespace arl::benchsupport
 

@@ -46,35 +46,40 @@ Label CanonicalProgram::build_observed_label(std::size_t phase_index,
   const PhaseSpec& phase = s.phases[phase_index];
   const std::uint64_t block_len = s.block_length();
   const std::uint64_t blocks_span = phase.num_classes * block_len;
+  const auto first = static_cast<std::size_t>(base_ + 1);
+  const auto trailing = static_cast<std::size_t>(base_ + blocks_span + 1);
+  const auto end = static_cast<std::size_t>(base_ + s.phase_length(phase_index) + 1);
 
+  // Every non-silent entry of the transmission blocks is one label triple;
+  // silent rounds contribute nothing, so only the events are walked.
   Label observed;
-  for (std::uint64_t offset = 1; offset <= blocks_span; ++offset) {
-    const radio::HistoryEntry entry = history.entry(static_cast<std::size_t>(base_ + offset));
-    if (entry.is_silence()) {
-      continue;
-    }
+  bool foreign_payload = false;
+  history.for_each_event(first, trailing, [&](std::size_t t, radio::HistoryEntry entry) {
+    const std::uint64_t offset = t - base_;
     const auto block = static_cast<ClassId>((offset - 1) / block_len + 1);
     const auto round = static_cast<std::uint32_t>((offset - 1) % block_len + 1);
-    if (entry.is_message()) {
-      if (entry.payload() != kCanonicalPayload) {
-        fail("received a non-canonical payload");
-        return observed;
-      }
-      observed.push_back(LabelTriple{block, round, false});
-    } else {
-      observed.push_back(LabelTriple{block, round, true});
+    if (entry.is_message() && entry.payload() != kCanonicalPayload) {
+      foreign_payload = true;
+      return false;
     }
+    observed.push_back(LabelTriple{block, round, entry.is_collision()});
+    return true;
+  });
+  if (foreign_payload) {
+    fail("received a non-canonical payload");
+    return observed;
   }
   // Generated in increasing (block, round) order, hence already ≺hist-sorted.
 
   // Lemma 3.7: the σ trailing rounds of a phase are silent in a
   // schedule-conformant execution.
-  const std::uint64_t phase_len = s.phase_length(phase_index);
-  for (std::uint64_t offset = blocks_span + 1; offset <= phase_len; ++offset) {
-    if (!history.entry(static_cast<std::size_t>(base_ + offset)).is_silence()) {
-      fail("noise in the trailing sigma rounds of a phase");
-      return observed;
-    }
+  bool noisy = false;
+  history.for_each_event(trailing, end, [&](std::size_t, radio::HistoryEntry) {
+    noisy = true;
+    return false;
+  });
+  if (noisy) {
+    fail("noise in the trailing sigma rounds of a phase");
   }
   return observed;
 }

@@ -65,10 +65,11 @@ class CanonicalProgram final : public radio::NodeProgram {
 
   radio::Action decide(config::Round local_round, const radio::HistoryView& history) override;
 
-  /// Listen-run lower bound for the simulator's fast path: inside a phase
-  /// the program listens in every round except its single transmission
-  /// round, and only mutates state at phase boundaries, so the streak runs
-  /// to whichever of the two comes first.
+  /// Listen run for the simulator's fast path: inside a phase the program
+  /// listens in every round except its single transmission round whatever
+  /// it hears (receptions are read only at the phase boundary), and only
+  /// mutates state at phase boundaries, so the streak runs to whichever of
+  /// the two comes first.
   [[nodiscard]] config::Round listen_streak(config::Round local_round,
                                             const radio::HistoryView& history) override;
 
@@ -82,7 +83,8 @@ class CanonicalProgram final : public radio::NodeProgram {
 
  private:
   /// Reconstructs the label the Partitioner would assign from the just-
-  /// finished phase's observations; flags schedule violations.
+  /// finished phase's observations; flags schedule violations.  Walks only
+  /// the phase's non-silent entries.
   [[nodiscard]] Label build_observed_label(std::size_t phase_index,
                                            const radio::HistoryView& history);
 

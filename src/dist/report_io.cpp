@@ -73,29 +73,6 @@ std::uint32_t parse_u32(std::string_view token, const char* what) {
       parse_u64(token, what, std::numeric_limits<std::uint32_t>::max()));
 }
 
-std::uint64_t parse_hex64(std::string_view token, const char* what) {
-  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") != token.npos) {
-    throw ReportFormatError(std::string(what) + " must be 16 lowercase hex digits (got '" +
-                            std::string(token) + "')");
-  }
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return value;
-}
-
-std::string hex64(std::uint64_t value) {
-  // Called twice per job line when serializing — no per-call stream setup.
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
 bool parse_bool(std::string_view token, const char* what) {
   if (token == "0") {
     return false;
@@ -268,7 +245,7 @@ void write_shard_report(const ShardReport& shard, std::ostream& sink) {
   std::ostringstream buffer;
   std::ostream& out = buffer;
   out << "arl-shard-report " << kShardReportVersion << '\n';
-  out << "sweep " << hex64(shard.key.digest) << ' ' << shard.key.description << '\n';
+  out << "sweep " << support::hex64(shard.key.digest) << ' ' << shard.key.description << '\n';
   out << "seed " << shard.key.seed << '\n';
   out << "jobs " << shard.key.total_jobs << '\n';
   if (shard.key.fault != "none") {
@@ -307,7 +284,8 @@ void write_shard_report(const ShardReport& shard, std::ostream& sink) {
       out << '-';
     }
     out << ' ' << job.classifier_iterations << ' ' << job.classifier_steps << ' '
-        << job.local_rounds << ' ' << job.global_rounds << ' ' << hex64(job.config_fingerprint);
+        << job.local_rounds << ' ' << job.global_rounds << ' '
+        << support::hex64(job.config_fingerprint);
     write_stats(out, job.stats);
     out << '\n';
   }
@@ -320,7 +298,7 @@ void write_shard_report(const ShardReport& shard, std::ostream& sink) {
   }
   const std::string body = std::move(buffer).str();  // extract, don't copy
   sink << body << "end " << shard.report.jobs.size() << ' '
-       << hex64(support::hash_text(body, kBodyDigestSeed)) << '\n';
+       << support::hex64(support::hash_text(body, kBodyDigestSeed)) << '\n';
 }
 
 ShardReport read_shard_report(std::istream& in) {
@@ -349,7 +327,8 @@ ShardReport read_shard_report(std::istream& in) {
     if (digest_end == std::string::npos || digest_end + 1 >= line.size()) {
       throw ReportFormatError("sweep line needs a digest and a description: '" + line + "'");
     }
-    shard.key.digest = parse_hex64(line.substr(6, digest_end - 6), "sweep digest");
+    shard.key.digest =
+        support::parse_hex64<ReportFormatError>(line.substr(6, digest_end - 6), "sweep digest");
     shard.key.description = line.substr(digest_end + 1);
     if (sweep_digest(shard.key.description) != shard.key.digest) {
       throw ReportFormatError("sweep digest does not match its description (corrupted header?)");
@@ -495,7 +474,8 @@ ShardReport read_shard_report(std::istream& in) {
     job.classifier_steps = parse_u64(tokens[11], "classifier steps");
     job.local_rounds = parse_u64(tokens[12], "local rounds");
     job.global_rounds = parse_u32(tokens[13], "global rounds");
-    job.config_fingerprint = parse_hex64(tokens[14], "configuration fingerprint");
+    job.config_fingerprint =
+        support::parse_hex64<ReportFormatError>(tokens[14], "configuration fingerprint");
     job.stats = parse_stats(tokens, 15);
     shard.report.jobs.push_back(std::move(job));
     ++next_id;
@@ -543,7 +523,7 @@ ShardReport read_shard_report(std::istream& in) {
     // Whole-body integrity: every byte above this line is covered, so a
     // corrupted field that happens to still parse — a node count, a
     // fingerprint digit — is caught here instead of merging silently.
-    const std::uint64_t declared = parse_hex64(tokens[2], "end digest");
+    const std::uint64_t declared = support::parse_hex64<ReportFormatError>(tokens[2], "end digest");
     if (lines.digest_before_current(kBodyDigestSeed) != declared) {
       throw ReportFormatError("report body does not match its end-line digest (corrupted file?)");
     }

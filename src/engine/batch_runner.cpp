@@ -61,10 +61,10 @@ JobOutcome execute_job(const BatchJob& job, JobId id, std::uint64_t batch_seed,
   if (engine == EngineMode::Scalar) {
     options.simulator.engine = radio::SimulatorEngine::Scalar;
   } else {
-    // Wavefront (and Auto, which resolves to it): the bitset fast path, with
-    // result histories skipped — no engine consumer reads them, and
-    // ElectionReport never retains them, so outcomes are unchanged.
-    options.simulator.engine = radio::SimulatorEngine::Bitset;
+    // Wavefront (and Auto, which resolves to it): the event-driven fast
+    // path, with result histories skipped — no engine consumer reads them,
+    // and ElectionReport never retains them, so outcomes are unchanged.
+    options.simulator.engine = radio::SimulatorEngine::Event;
     options.simulator.keep_histories = false;
   }
 

@@ -32,11 +32,12 @@ namespace arl::engine {
 /// bit-identical across modes (asserted by tests/test_simulator_fast.cpp);
 /// the modes differ only in throughput.
 enum class EngineMode : std::uint8_t {
-  Auto,       ///< currently resolves to Wavefront
+  Auto,       ///< resolves to Wavefront
   Scalar,     ///< the reference per-node simulator loop
-  Wavefront,  ///< bitset fast path + histories skipped in the results; the
-              ///< per-worker scratch carries adjacency bitmaps and compiled
-              ///< schedules across same-topology jobs
+  Wavefront,  ///< the event-driven fast path (faulted jobs included) +
+              ///< histories skipped in the results; the per-worker scratch
+              ///< carries its buffers, coin seeds and compiled schedules
+              ///< across jobs
 };
 
 /// Engine-level knobs (per BatchRunner, not per job).
@@ -68,7 +69,7 @@ struct BatchOptions {
   std::string store_directory = {};
 
   /// Simulation path; overrides any per-job simulator engine selection
-  /// (jobs carrying a trace sink still fall back to the scalar loop).
+  /// (jobs carrying a trace sink still run the scalar loop).
   EngineMode engine = EngineMode::Auto;
 
   /// Fault injected into every job of the batch (`arl sweep --fault=SPEC`).

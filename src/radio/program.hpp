@@ -7,12 +7,13 @@
 /// maps a history prefix to an action.  Here a `Drip` is a factory producing
 /// one `NodeProgram` per node; programs may keep incremental state, which is
 /// observationally equivalent as long as the state is a function of the
-/// history — `decide` is invoked exactly once per local round, in order, with
-/// the history prefix the formal model prescribes.  Anonymity is structural:
-/// a program never sees a node id.  Labels (for the non-anonymous baseline
-/// protocols from the related-work landscape) and private coin seeds (for
-/// randomized baselines) arrive through `NodeEnv`; faithful paper protocols
-/// ignore both.
+/// history — `decide` is invoked once per local round, in order, with the
+/// history prefix the formal model prescribes, except in the rounds a
+/// program's own listen_streak() lets the simulator skip.  Anonymity is
+/// structural: a program never sees a node id.  Labels (for the
+/// non-anonymous baseline protocols from the related-work landscape) and
+/// private coin seeds (for randomized baselines) arrive through `NodeEnv`;
+/// faithful paper protocols ignore both.
 
 #include <cstdint>
 #include <memory>
@@ -58,19 +59,21 @@ class NodeProgram {
   /// Action for local round `local_round` (>= 1), given the history
   /// H[0..local_round-1].  Called at most once per round, in increasing round
   /// order; rounds covered by a positive listen_streak() may be skipped
-  /// (the program is then treated as having listened through silence).
+  /// (the program then listened in them, and its history still records
+  /// whatever they observed).
   virtual Action decide(config::Round local_round, const HistoryView& history) = 0;
 
-  /// Fast-path hint: a lower bound on how many consecutive local rounds,
-  /// starting at `local_round`, this program is guaranteed to Listen —
-  /// provided every one of those rounds observes silence.  When ALL awake
-  /// programs report a positive streak, the simulator proves the common
-  /// prefix globally silent, records it in bulk, and skips the decide()
-  /// calls.  A program returning k > 0 promises that (a) decide(local_round
-  /// + j) would return Listen for every j < k under all-silent observations,
-  /// and (b) its state after the next decide() call is the same whether or
-  /// not those k calls happened.  The default (0) opts out and keeps the
-  /// call-every-round contract of decide().
+  /// Fast-path hint: how many consecutive local rounds, starting at
+  /// `local_round`, this program listens whatever it hears.  `history` is
+  /// H[0..local_round-1], the history the next decide() would see.  The
+  /// event-driven simulator parks the node for that many rounds: it calls
+  /// no decide() in them, records their receptions in the history, and
+  /// wakes the node for decide(local_round + k).  A program returning k > 0
+  /// promises that (a) decide(local_round + j) would return Listen for every
+  /// j < k, whatever rounds local_round .. local_round + j - 1 observe, and
+  /// (b) skipping those k calls changes neither a later decide() nor
+  /// elected().  The default (0) opts out: the node then decides in every
+  /// round.
   [[nodiscard]] virtual config::Round listen_streak(config::Round local_round,
                                                     const HistoryView& history) {
     (void)local_round;

@@ -1,7 +1,7 @@
 #include "radio/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -40,6 +40,15 @@ void push_entry(NodeState& node, HistoryEntry entry, std::optional<std::size_t> 
   }
 }
 
+/// Fast-path node phases (SimulatorScratch::phase_).  kStopped covers both
+/// termination and an injected crash.
+constexpr std::uint8_t kAsleep = 0;
+constexpr std::uint8_t kAwake = 1;
+constexpr std::uint8_t kStopped = 2;
+
+/// A round no run reaches: the initial channel and transmitter stamps.
+constexpr config::Round kNoRound = std::numeric_limits<config::Round>::max();
+
 /// Folds the per-node energy counters into the aggregate maxima.
 void finish_energy_stats(RunResult& result) {
   for (const NodeOutcome& node : result.nodes) {
@@ -74,31 +83,53 @@ RunResult Simulator::run() const {
 }
 
 RunResult Simulator::run(SimulatorScratch& scratch) const {
-  // Tracing and fault injection are scalar-path features: the fast path
-  // reorders per-node work within a round (unobservable in the results, but
-  // not in a per-action trace) and bulk-skips provably silent rounds (which
-  // per-round channel dice would falsify), so either forces the reference
-  // loop.  An inactive FaultPlan — `none` or an inert parameterization like
-  // drop:0 — does not, keeping faultless runs bit-identical and fast.
-  const bool bitset_ok = options_.trace == nullptr && !options_.fault.active();
-  switch (options_.engine) {
-    case SimulatorEngine::Scalar:
-      return run_scalar(scratch);
-    case SimulatorEngine::Bitset:
-    case SimulatorEngine::Auto:
-      return bitset_ok ? run_bitset(scratch) : run_scalar(scratch);
+  // Tracing is a scalar-loop feature: the fast path calls no decide() in a
+  // parked node's rounds and visits nodes in calendar order, which the
+  // results never show but a per-action trace would.
+  if (options_.engine == SimulatorEngine::Scalar || options_.trace != nullptr) {
+    return run_scalar(scratch);
   }
-  return run_scalar(scratch);  // unreachable
+  return run_event(scratch);
+}
+
+std::optional<std::size_t> Simulator::window() const {
+  const std::optional<std::size_t> window =
+      options_.history_window ? options_.history_window : drip_.history_window();
+  if (window && *window == 0) {
+    return std::nullopt;  // 0 = explicit "retain everything" override
+  }
+  return window;
+}
+
+const fault::FaultContext& Simulator::prepare_faults(SimulatorScratch& scratch) const {
+  // The crash schedule and staggered wakeup tags are precomputed here (the
+  // obs fault-inject phase); the channel dice are pure functions of (seed,
+  // round, node) rolled during the run.
+  fault::FaultContext& fault = scratch.fault_;
+  const graph::NodeId n = configuration_.graph().node_count();
+  if (!options_.fault.active()) {
+    fault.reset(options_.fault, n);
+    return fault;
+  }
+  const obs::PhaseTimer span(obs::Phase::FaultInject);
+  fault.reset(options_.fault, n);
+  scratch.effective_tag_.clear();
+  if (fault.max_wake_delay() > 0) {
+    scratch.effective_tag_.resize(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const std::uint64_t staggered =
+          static_cast<std::uint64_t>(configuration_.tag(v)) + fault.wake_delay(v);
+      scratch.effective_tag_[v] = static_cast<config::Round>(
+          std::min<std::uint64_t>(staggered, std::numeric_limits<config::Round>::max()));
+    }
+  }
+  return fault;
 }
 
 RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
   const graph::Graph& graph = configuration_.graph();
   const graph::NodeId n = graph.node_count();
-  std::optional<std::size_t> window =
-      options_.history_window ? options_.history_window : drip_.history_window();
-  if (window && *window == 0) {
-    window = std::nullopt;  // 0 = explicit "retain everything" override
-  }
+  const std::optional<std::size_t> window = this->window();
   TraceSink* trace = options_.trace;
 
   ARL_EXPECTS(options_.labels.empty() || options_.labels.size() == n,
@@ -115,28 +146,9 @@ RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
     ARL_ENSURES(nodes[v].program != nullptr, "drip must produce a program");
   }
 
-  // Fault state: the crash schedule and staggered wakeup tags are
-  // precomputed here (the obs fault-inject phase); the per-round channel
-  // dice are pure functions of (seed, round, node) rolled inline.
-  fault::FaultContext& fault = scratch.fault_;
-  if (options_.fault.active()) {
-    const obs::PhaseTimer span(obs::Phase::FaultInject);
-    fault.reset(options_.fault, n);
-    scratch.effective_tag_.clear();
-    if (fault.max_wake_delay() > 0) {
-      scratch.effective_tag_.resize(n);
-      for (graph::NodeId v = 0; v < n; ++v) {
-        const std::uint64_t staggered =
-            static_cast<std::uint64_t>(configuration_.tag(v)) + fault.wake_delay(v);
-        scratch.effective_tag_[v] = static_cast<config::Round>(
-            std::min<std::uint64_t>(staggered, std::numeric_limits<config::Round>::max()));
-      }
-    }
-  } else {
-    fault.reset(options_.fault, n);
-  }
+  const fault::FaultContext& fault = prepare_faults(scratch);
   const bool fault_on = fault.active();
-  const bool staggered_wake = fault_on && fault.max_wake_delay() > 0;
+  const bool staggered_wake = fault.max_wake_delay() > 0;
   auto wake_tag = [&](graph::NodeId v) -> config::Round {
     return staggered_wake ? scratch.effective_tag_[v] : configuration_.tag(v);
   };
@@ -150,7 +162,7 @@ RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
   std::vector<std::uint32_t>& transmitter_count = scratch.transmitter_count_;
   std::vector<Message>& pending_message = scratch.pending_message_;
   std::vector<graph::NodeId>& transmitters = scratch.transmitters_;
-  stamp.assign(n, static_cast<config::Round>(-1));
+  stamp.assign(n, kNoRound);
   transmitter_count.assign(n, 0);
   pending_message.assign(n, 0);
   transmitters.clear();
@@ -365,14 +377,12 @@ RunResult Simulator::run_scalar(SimulatorScratch& scratch) const {
   return result;
 }
 
-RunResult Simulator::run_bitset(SimulatorScratch& s) const {
+RunResult Simulator::run_event(SimulatorScratch& s) const {
   const graph::Graph& graph = configuration_.graph();
   const graph::NodeId n = graph.node_count();
-  std::optional<std::size_t> window =
-      options_.history_window ? options_.history_window : drip_.history_window();
-  if (window && *window == 0) {
-    window = std::nullopt;  // 0 = explicit "retain everything" override
-  }
+  const std::optional<std::size_t> window = this->window();
+  const config::Round horizon = options_.max_rounds;
+  const bool cd = options_.channel_model == ChannelModel::CollisionDetection;
 
   ARL_EXPECTS(options_.labels.empty() || options_.labels.size() == n,
               "labels must be absent or cover every node");
@@ -393,14 +403,8 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
     }
   }
 
-  // Adjacency bitmap, cached across same-topology runs.
-  if (!s.adjacency_.matches(graph)) {
-    s.adjacency_.build(graph);
-  }
-  const std::size_t words = s.adjacency_.words_per_row();
-
-  // Program/history arena: the slot vectors and history capacities persist
-  // across runs; programs themselves are stateful and re-instantiated.
+  // Programs are stateful and re-instantiated; the history stores keep
+  // their capacity across runs.
   s.programs_.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     NodeEnv env;
@@ -417,286 +421,263 @@ RunResult Simulator::run_bitset(SimulatorScratch& s) const {
   for (graph::NodeId v = 0; v < n; ++v) {
     s.histories_[v].clear();
   }
-  s.dropped_.assign(n, 0);
+  s.phase_.assign(n, kAsleep);
   s.wake_round_.assign(n, 0);
-  s.outgoing_.assign(n, 0);
   s.forced_.assign(n, 0);
-  s.woke_now_.assign(n, 0);
-  s.awake_bits_.assign(words, 0);
-  s.terminated_bits_.assign(words, 0);
-  s.transmit_bits_.assign(words, 0);
-  s.heard_bits_.assign(words, 0);
-  s.awake_list_.clear();
-  s.woke_list_.clear();
-  s.transmitters_.clear();
+  s.stopped_length_.assign(n, 0);
+  s.transmit_round_.assign(n, kNoRound);
+  s.outgoing_.assign(n, 0);
+  s.stamp_.assign(n, kNoRound);
+  s.transmitter_count_.assign(n, 0);
+  s.pending_message_.assign(n, 0);
 
+  const fault::FaultContext& fault = prepare_faults(s);
+  const bool fault_on = fault.active();
+  const bool staggered_wake = fault.max_wake_delay() > 0;
+
+  // The calendars: spontaneous wakeups and crash-stops sorted by round, and
+  // parked nodes in a min-heap keyed by the round of their next decide().
   s.wake_events_.clear();
-  s.wake_events_.reserve(n);
   for (graph::NodeId v = 0; v < n; ++v) {
-    s.wake_events_.emplace_back(configuration_.tag(v), v);
+    s.wake_events_.emplace_back(staggered_wake ? s.effective_tag_[v] : configuration_.tag(v), v);
   }
   std::sort(s.wake_events_.begin(), s.wake_events_.end());
+  s.crash_events_.clear();
+  if (fault_on) {
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (fault.crash_round(v) != fault::FaultContext::kNeverCrashes) {
+        s.crash_events_.emplace_back(fault.crash_round(v), v);
+      }
+    }
+    std::sort(s.crash_events_.begin(), s.crash_events_.end());
+  }
+  s.parked_.clear();
+  s.due_.clear();
 
   RunResult result;
   result.nodes.resize(n);
 
-  auto push_history = [&](graph::NodeId v, HistoryEntry entry) {
-    History& h = s.histories_[v];
-    h.push_back(entry);
-    if (window && h.size() > 2 * *window) {
-      const std::size_t evict = h.size() - *window;
-      h.erase(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(evict));
-      s.dropped_[v] += evict;
+  // Records a non-silent H[index].  Under a window, events the window has
+  // evicted are pruned once they outnumber the retained span, which keeps
+  // the store O(window) at amortized O(1) per event.
+  auto record = [&](graph::NodeId v, std::size_t index, HistoryEntry entry) {
+    SparseHistory& events = s.histories_[v];
+    events.push_back({index, entry});
+    if (window && events.size() > 4 * *window + 2) {
+      const std::size_t first_kept = window_first_kept(index + 1, window);
+      std::erase_if(events, [&](const HistoryEvent& e) { return e.index < first_kept; });
     }
   };
-
-  // What node v hears this round: popcount of its row against the
-  // transmitter bitset, early-exiting at two (two transmitters sound the
-  // same as twenty).
-  const bool cd = options_.channel_model == ChannelModel::CollisionDetection;
-  auto channel_at = [&](graph::NodeId v) -> HistoryEntry {
-    const std::uint64_t* row = s.adjacency_.row(v);
-    std::uint32_t count = 0;
-    graph::NodeId single = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t hit = row[w] & s.transmit_bits_[w];
-      if (hit == 0) {
-        continue;
-      }
-      count += static_cast<std::uint32_t>(std::popcount(hit));
-      if (count > 1) {
-        // Without collision detection, noise is indistinguishable from
-        // silence.
-        return cd ? HistoryEntry::collision() : HistoryEntry::silence();
-      }
-      single = static_cast<graph::NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(hit)));
+  auto view = [&](graph::NodeId v, std::size_t length) {
+    return HistoryView(s.histories_[v], length, window_first_kept(length, window));
+  };
+  // Parks an awake node until its next decide(): next round when its
+  // program promises no listen streak, else after the streak (never, when
+  // the streak reaches the horizon).
+  config::Round round = 0;
+  auto schedule = [&](graph::NodeId v) {
+    const config::Round local = round + 1 - s.wake_round_[v];
+    const config::Round streak = s.programs_[v]->listen_streak(local, view(v, local));
+    if (streak == 0) {
+      s.due_.push_back(v);
+      return;
     }
-    if (count == 0) {
-      return HistoryEntry::silence();
+    const std::uint64_t at = std::uint64_t{round} + 1 + streak;
+    if (at < horizon) {
+      s.parked_.emplace_back(static_cast<config::Round>(at), v);
+      std::push_heap(s.parked_.begin(), s.parked_.end(), std::greater<>());
     }
-    return HistoryEntry::message(s.outgoing_[single]);
   };
 
   std::uint32_t live = n;
+  config::Round executed = horizon;  // rounds_executed unless all stop first
   std::size_t next_wake = 0;
-  const config::Round horizon = options_.max_rounds;
-  config::Round round = 0;
+  std::size_t next_crash = 0;
+  while (live > 0) {
+    // Jump to the next round in which anything happens; every round in
+    // between is silent for everyone and changes nothing but lengths.
+    std::uint64_t next = s.due_.empty() ? horizon : std::uint64_t{round} + 1;
+    if (next_wake < s.wake_events_.size()) {
+      next = std::min<std::uint64_t>(next, s.wake_events_[next_wake].first);
+    }
+    if (next_crash < s.crash_events_.size()) {
+      next = std::min(next, s.crash_events_[next_crash].first);
+    }
+    if (!s.parked_.empty()) {
+      next = std::min<std::uint64_t>(next, s.parked_.front().first);
+    }
+    if (next >= horizon) {
+      break;
+    }
+    round = static_cast<config::Round>(next);
 
-  while (round < horizon && live > 0) {
-    // 1. Spontaneous wakeups: tag == round.  (A node force-woken — or even
-    //    terminated — before its tag keeps its earlier state.)
-    s.woke_list_.clear();
+    // 0. Injected crash-stops, before anyone acts (as in the scalar loop).
+    while (next_crash < s.crash_events_.size() && s.crash_events_[next_crash].first == round) {
+      const graph::NodeId v = s.crash_events_[next_crash++].second;
+      if (s.phase_[v] == kStopped) {
+        continue;
+      }
+      if (s.phase_[v] == kAwake) {
+        s.stopped_length_[v] = round - s.wake_round_[v];
+      }
+      s.phase_[v] = kStopped;
+      result.nodes[v].crashed = true;
+      ++result.stats.injected_crashes;
+      --live;
+    }
+
+    // 1. Spontaneous wakeups at the (possibly staggered) tag.
+    s.woke_.clear();
     while (next_wake < s.wake_events_.size() && s.wake_events_[next_wake].first == round) {
-      const graph::NodeId v = s.wake_events_[next_wake].second;
-      ++next_wake;
-      if (!bitset_test(s.awake_bits_, v) && !bitset_test(s.terminated_bits_, v)) {
-        bitset_set(s.awake_bits_, v);
-        s.wake_round_[v] = round;
-        s.forced_[v] = 0;
-        s.woke_now_[v] = 1;
-        s.awake_list_.push_back(v);
-        s.woke_list_.push_back(v);
+      const graph::NodeId v = s.wake_events_[next_wake++].second;
+      if (s.phase_[v] != kAsleep) {
+        continue;  // force-woken or crashed earlier
+      }
+      s.phase_[v] = kAwake;
+      s.wake_round_[v] = round;
+      s.woke_.push_back(v);
+      if (staggered_wake && s.effective_tag_[v] != configuration_.tag(v)) {
+        ++result.stats.delayed_wakeups;
       }
     }
 
-    if (s.awake_list_.empty()) {
-      // All live nodes are still asleep: nothing observable happens before
-      // the next wakeup tag.
-      ARL_ASSERT(next_wake < s.wake_events_.size(), "live sleepers must have pending tags");
-      round = std::min(horizon, s.wake_events_[next_wake].first);
-      continue;
+    // 2. Actions of the nodes due this round: last round's active list plus
+    //    the nodes parked until now.
+    s.acting_.clear();
+    s.acting_.swap(s.due_);
+    while (!s.parked_.empty() && s.parked_.front().first == round) {
+      std::pop_heap(s.parked_.begin(), s.parked_.end(), std::greater<>());
+      s.acting_.push_back(s.parked_.back().second);
+      s.parked_.pop_back();
     }
-
-    // 2. Bulk-skip provably silent rounds.  If every awake node promises via
-    //    listen_streak() to Listen for the next k rounds (given silence) and
-    //    no wakeup tag falls inside them, those rounds have no transmitter —
-    //    hence no message, no forced wakeup, and silence at every listener —
-    //    so they can be recorded wholesale without calling decide().
-    if (s.woke_list_.empty()) {
-      config::Round limit = horizon - round;
-      if (next_wake < s.wake_events_.size()) {
-        limit = std::min(limit, s.wake_events_[next_wake].first - round);
-      }
-      config::Round streak = limit;
-      for (const graph::NodeId v : s.awake_list_) {
-        const config::Round local = round - s.wake_round_[v];
-        const HistoryView view(s.histories_[v], s.dropped_[v]);
-        streak = std::min(streak, s.programs_[v]->listen_streak(local, view));
-        if (streak == 0) {
-          break;
-        }
-      }
-      if (streak > 0) {
-        for (const graph::NodeId v : s.awake_list_) {
-          // Bulk-append `streak` silences in O(window) instead of O(streak):
-          // the final (contents, dropped) pair is exactly what `streak`
-          // individual push_history calls would leave — eviction fires at
-          // size 2W+1 cutting back to W, so the size after the run is s0 +
-          // streak if no eviction fires, else W plus the pushes left over
-          // after the last eviction.  No observation happens mid-run (these
-          // rounds execute no decide() and no channel), so only the final
-          // state matters.
-          History& h = s.histories_[v];
-          const std::size_t s0 = h.size();
-          std::size_t total = s0 + streak;
-          if (window && total > 2 * *window) {
-            const std::size_t wsize = *window;
-            const std::size_t to_first_evict = 2 * wsize + 1 - s0;
-            total = wsize + (streak - to_first_evict) % (wsize + 1);
-            const std::size_t evicted = s0 + streak - total;
-            s.dropped_[v] += evicted;
-            const std::size_t keep_old = s0 > evicted ? s0 - evicted : 0;
-            h.erase(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(s0 - keep_old));
-          }
-          h.insert(h.end(), total - h.size(), HistoryEntry::silence());
-          result.nodes[v].awake_rounds += streak;
-        }
-        result.stats.node_rounds += static_cast<std::uint64_t>(s.awake_list_.size()) * streak;
-        round += streak;
-        continue;
-      }
-    }
-
-    // 3. Actions of nodes awake since an earlier round.
-    std::fill(s.transmit_bits_.begin(), s.transmit_bits_.end(), 0);
     s.transmitters_.clear();
-    bool any_terminated = false;
-    for (const graph::NodeId v : s.awake_list_) {
-      if (s.woke_now_[v] != 0) {
-        continue;
+    for (const graph::NodeId v : s.acting_) {
+      if (s.phase_[v] != kAwake) {
+        continue;  // crashed while waiting
       }
       const config::Round local = round - s.wake_round_[v];
-      const HistoryView view(s.histories_[v], s.dropped_[v]);
-      ARL_ASSERT(view.length() == local, "history length must equal the local round");
-      const Action action = s.programs_[v]->decide(local, view);
-      ++result.stats.node_rounds;
-      ++result.nodes[v].awake_rounds;
+      const Action action = s.programs_[v]->decide(local, view(v, local));
       switch (action.kind) {
         case Action::Kind::Listen:
           break;
         case Action::Kind::Transmit:
-          bitset_set(s.transmit_bits_, v);
+          s.transmit_round_[v] = round;
           s.outgoing_[v] = action.message;
           s.transmitters_.push_back(v);
           ++result.stats.transmissions;
           ++result.nodes[v].transmissions;
           break;
         case Action::Kind::Terminate:
-          // H[done_v] is recorded as (∅), as in the scalar loop.
-          bitset_clear(s.awake_bits_, v);
-          bitset_set(s.terminated_bits_, v);
-          push_history(v, HistoryEntry::silence());
+          // H[done_v] is (∅), as in the scalar loop.
+          s.phase_[v] = kStopped;
+          s.stopped_length_[v] = local + 1;
           result.nodes[v].terminated = true;
           result.nodes[v].done_round = local;
           --live;
-          any_terminated = true;
           break;
       }
     }
 
-    // 4. Channel resolution and history recording.
-    if (s.transmitters_.empty()) {
-      // Globally silent round: every awake node records (∅) under either
-      // wake policy, and no sleeper can be force-woken.
-      for (const graph::NodeId v : s.awake_list_) {
-        if (bitset_test(s.terminated_bits_, v)) {
-          continue;
+    // 3. Channel resolution around the transmitters only: every other node
+    //    hears silence, which its history records by omission.
+    s.touched_.clear();
+    for (const graph::NodeId t : s.transmitters_) {
+      for (const graph::NodeId w : graph.neighbors(t)) {
+        if (s.stamp_[w] != round) {
+          s.stamp_[w] = round;
+          s.transmitter_count_[w] = 0;
+          s.touched_.push_back(w);
         }
-        if (s.woke_now_[v] != 0) {
-          result.nodes[v].wake_round = s.wake_round_[v];
-          result.nodes[v].forced_wake = false;
-        }
-        push_history(v, HistoryEntry::silence());
+        ++s.transmitter_count_[w];
+        s.pending_message_[w] = s.outgoing_[t];
       }
-    } else {
-      for (const graph::NodeId v : s.awake_list_) {
-        if (bitset_test(s.terminated_bits_, v)) {
-          continue;
-        }
-        HistoryEntry entry = HistoryEntry::silence();
-        if (s.woke_now_[v] != 0) {
-          // H[0] of a spontaneous wakeup, subject to the wake policy.
-          const HistoryEntry channel = channel_at(v);
-          if (channel.is_message()) {
-            s.forced_[v] = 1;
-            entry = channel;
-            ++result.stats.forced_wakeups;
-          } else if (options_.wake_policy == WakePolicy::HearAll) {
-            entry = channel;
-          }
-          result.nodes[v].wake_round = s.wake_round_[v];
-          result.nodes[v].forced_wake = s.forced_[v] != 0;
-        } else if (bitset_test(s.transmit_bits_, v)) {
-          entry = HistoryEntry::silence();  // a transmitter hears nothing
-        } else {
-          entry = channel_at(v);
-          if (entry.is_message()) {
-            ++result.stats.clean_receptions;
-          } else if (entry.is_collision()) {
-            ++result.stats.collisions_heard;
-          }
-        }
-        push_history(v, entry);
+    }
+    for (const graph::NodeId w : s.touched_) {
+      if (s.phase_[w] == kStopped || s.transmit_round_[w] == round) {
+        continue;  // stopped nodes hear nothing; a transmitter hears (∅)
       }
-
-      // Forced wakeups: sleepers inside some transmitter's neighbourhood
-      // that received a clean message (noise does not wake, §2.1).
-      std::fill(s.heard_bits_.begin(), s.heard_bits_.end(), 0);
-      for (const graph::NodeId t : s.transmitters_) {
-        const std::uint64_t* row = s.adjacency_.row(t);
-        for (std::size_t w = 0; w < words; ++w) {
-          s.heard_bits_[w] |= row[w];
+      HistoryEntry heard = HistoryEntry::message(s.pending_message_[w]);
+      if (s.transmitter_count_[w] > 1) {
+        // Without collision detection, noise is indistinguishable from silence.
+        heard = cd ? HistoryEntry::collision() : HistoryEntry::silence();
+      }
+      // Channel faults: the same dice on the same (round, listener) pairs
+      // as the scalar loop — every clean message reaching a live listener.
+      if (fault_on && heard.is_message()) {
+        if (fault.drop_message(round, w)) {
+          ++result.stats.injected_drops;
+          heard = HistoryEntry::silence();
+        } else if (fault.corrupt_message(round, w)) {
+          ++result.stats.injected_corruptions;
+          heard = cd ? HistoryEntry::collision() : HistoryEntry::silence();
         }
       }
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t sleepers = s.heard_bits_[w] & ~s.awake_bits_[w] & ~s.terminated_bits_[w];
-        while (sleepers != 0) {
-          const graph::NodeId v =
-              static_cast<graph::NodeId>(w * 64 + static_cast<std::size_t>(std::countr_zero(sleepers)));
-          sleepers &= sleepers - 1;
-          const HistoryEntry channel = channel_at(v);
-          if (!channel.is_message()) {
-            continue;
-          }
-          bitset_set(s.awake_bits_, v);
-          s.wake_round_[v] = round;
-          s.forced_[v] = 1;
-          s.woke_now_[v] = 1;
-          s.awake_list_.push_back(v);
-          s.woke_list_.push_back(v);
-          push_history(v, channel);
-          result.nodes[v].wake_round = round;
-          result.nodes[v].forced_wake = true;
+      if (s.phase_[w] == kAsleep) {
+        if (heard.is_message()) {
+          // Forced wakeup: a clean message wakes a sleeper; noise does not.
+          s.phase_[w] = kAwake;
+          s.wake_round_[w] = round;
+          s.forced_[w] = 1;
+          record(w, 0, heard);
           ++result.stats.forced_wakeups;
+          s.woke_.push_back(w);
         }
+      } else if (s.wake_round_[w] == round) {
+        // H[0] of a spontaneous wakeup, subject to the wake policy.
+        if (heard.is_message()) {
+          s.forced_[w] = 1;
+          ++result.stats.forced_wakeups;
+          record(w, 0, heard);
+        } else if (options_.wake_policy == WakePolicy::HearAll && !heard.is_silence()) {
+          record(w, 0, heard);
+        }
+      } else if (!heard.is_silence()) {
+        if (heard.is_message()) {
+          ++result.stats.clean_receptions;
+        } else {
+          ++result.stats.collisions_heard;
+        }
+        record(w, round - s.wake_round_[w], heard);
       }
     }
 
-    // 5. End of round: clear the woke flags and drop terminated nodes.
-    for (const graph::NodeId v : s.woke_list_) {
-      s.woke_now_[v] = 0;
+    // 4. Park every node that acted or woke until its next decide().
+    for (const graph::NodeId v : s.acting_) {
+      if (s.phase_[v] == kAwake) {
+        schedule(v);
+      }
     }
-    if (any_terminated) {
-      std::erase_if(s.awake_list_,
-                    [&](graph::NodeId v) { return bitset_test(s.terminated_bits_, v); });
+    for (const graph::NodeId v : s.woke_) {
+      schedule(v);
     }
-    ++round;
+
+    if (live == 0) {
+      executed = round + 1;
+    }
   }
 
-  result.rounds_executed = round;
+  result.rounds_executed = executed;
   result.all_terminated = (live == 0);
   for (graph::NodeId v = 0; v < n; ++v) {
+    NodeOutcome& out = result.nodes[v];
+    const std::size_t length =
+        s.phase_[v] == kAwake ? executed - s.wake_round_[v] : s.stopped_length_[v];
+    const std::size_t first_kept = window_first_kept(length, window);
+    out.wake_round = s.wake_round_[v];
+    out.forced_wake = s.forced_[v] != 0;
+    out.awake_rounds = length > 0 ? length - 1 : 0;
+    result.stats.node_rounds += out.awake_rounds;
+    out.elected = s.programs_[v]->elected();
     if (options_.keep_histories) {
-      result.nodes[v].history = std::move(s.histories_[v]);
-      s.histories_[v].clear();
-      result.nodes[v].history_dropped = s.dropped_[v];
+      out.history.assign(length - first_kept, HistoryEntry::silence());
+      for (const HistoryEvent& event : s.histories_[v]) {
+        if (event.index >= first_kept) {
+          out.history[event.index - first_kept] = event.entry;
+        }
+      }
+      out.history_dropped = first_kept;
     } else {
-      result.nodes[v].history_dropped = s.dropped_[v] + s.histories_[v].size();
-    }
-    result.nodes[v].elected = s.programs_[v]->elected();
-    if (bitset_test(s.awake_bits_, v) || bitset_test(s.terminated_bits_, v)) {
-      result.nodes[v].wake_round = s.wake_round_[v];
-      result.nodes[v].forced_wake = s.forced_[v] != 0;
+      out.history_dropped = length;
     }
   }
   finish_energy_stats(result);

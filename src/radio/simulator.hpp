@@ -26,15 +26,27 @@
 /// Patient protocols — everything the paper's positive results execute —
 /// never transmit while any node sleeps, so the policy is unobservable for
 /// them (asserted by tests).
+///
+/// Two engines execute these semantics.  The scalar loop is the reference:
+/// it walks every node in every round and keeps dense histories.  The
+/// event-driven fast path does work only where something happens.  A node
+/// whose program promises a listen streak (NodeProgram::listen_streak) is
+/// parked in a calendar until its next decide() call; a round's channel is
+/// resolved only around that round's transmitters; histories are sparse
+/// (non-silent entries only).  Wakeups and crash-stops are calendar events
+/// too, and the drop/corrupt dice are rolled on exactly the receptions the
+/// scalar loop rolls them on, so faulted runs take the fast path as well.
+/// Both engines return bit-identical RunResults.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "config/configuration.hpp"
 #include "fault/fault.hpp"
 #include "graph/graph.hpp"
-#include "radio/bitset.hpp"
 #include "radio/history.hpp"
 #include "radio/program.hpp"
 #include "radio/trace.hpp"
@@ -48,13 +60,13 @@ enum class WakePolicy : std::uint8_t {
 };
 
 /// Which inner loop run() executes.  Both produce bit-identical results
-/// (same RunResult including RunStats and histories); the bitset path is the
-/// word-parallel fast path, the scalar path is the reference loop and the
-/// only one that emits trace callbacks.
+/// (same RunResult including RunStats and histories); the scalar loop is the
+/// reference and the only one that emits trace callbacks, so a trace sink
+/// runs the scalar loop whichever engine is named.
 enum class SimulatorEngine : std::uint8_t {
-  Auto,    ///< bitset unless a trace sink is attached
-  Scalar,  ///< the reference per-node loop
-  Bitset,  ///< word-parallel fast path (falls back to scalar under a trace)
+  Scalar,          ///< the reference per-node loop
+  Event,           ///< the event-driven fast path (the default)
+  Bitset = Event,  ///< former name of Event, kept for existing callers
 };
 
 /// Run-control knobs.
@@ -85,13 +97,11 @@ struct SimulatorOptions {
   ChannelModel channel_model = ChannelModel::CollisionDetection;
 
   /// Inner-loop selection (see SimulatorEngine).
-  SimulatorEngine engine = SimulatorEngine::Auto;
+  SimulatorEngine engine = SimulatorEngine::Event;
 
   /// Fault plan (spec + per-job seed; see fault/fault.hpp).  The default
-  /// `none` plan is inactive and leaves every code path — including the
-  /// bitset fast-path dispatch — exactly as without the field.  An active
-  /// plan forces the scalar reference loop, like a trace sink does: the
-  /// fast path's bulk round skipping cannot host per-round channel dice.
+  /// `none` plan is inactive and leaves every code path exactly as without
+  /// the field.  Both engines inject an active plan identically.
   fault::FaultPlan fault = {};
 
   /// When false, RunResult omits the per-node history vectors (the entries
@@ -116,10 +126,11 @@ struct NodeOutcome {
   std::size_t history_dropped = 0;   ///< entries evicted by the window
 
   // Per-node energy/communication accounting (Kowalski–Mosteiro style):
-  // local rounds executed (decide() calls — the wake round is not counted)
-  // and rounds spent transmitting.  Summed over all nodes these equal
-  // RunStats::node_rounds and RunStats::transmissions.
-  std::uint64_t awake_rounds = 0;    ///< decide() calls this node executed
+  // local rounds executed (the wake round is not counted; rounds a parked
+  // node listened through without a decide() call are) and rounds spent
+  // transmitting.  Summed over all nodes these equal RunStats::node_rounds
+  // and RunStats::transmissions.
+  std::uint64_t awake_rounds = 0;    ///< local rounds this node executed
   std::uint64_t transmissions = 0;   ///< rounds this node spent transmitting
 
   /// Total entries ever recorded (dropped + retained).
@@ -163,48 +174,50 @@ struct RunResult {
 /// on one thread (e.g. an engine worker) hands the same scratch to every
 /// run() and amortizes the per-run allocations; contents are overwritten
 /// each run and never leak information between runs (asserted by the
-/// differential tests).  Besides the scalar path's channel buffers, the
-/// scratch owns the fast path's program/history arena (SoA node state and
-/// history buffers reused across jobs), a per-seed coin-seed cache, and the
-/// adjacency bitmap cached across same-topology runs.
+/// differential tests).  A fresh scratch allocates nothing.  It holds the
+/// channel-resolution buffers both engines use, the fault state, and the
+/// fast path's per-node state: programs, sparse histories whose capacity
+/// survives across runs, a per-seed coin-seed cache, and the calendars.
 class SimulatorScratch {
  public:
   SimulatorScratch() = default;
 
  private:
   friend class Simulator;
-  // Scalar path: epoch-stamped channel-resolution buffers.
+  // Both engines: epoch-stamped channel-resolution buffers.
   std::vector<config::Round> stamp_;
   std::vector<std::uint32_t> transmitter_count_;
   std::vector<Message> pending_message_;
   std::vector<graph::NodeId> transmitters_;
+  // Both engines: per-run fault state and effective (staggered) wakeup tags.
+  fault::FaultContext fault_;
+  std::vector<config::Round> effective_tag_;
   // Fast path: per-node coin seeds, cached per master seed (split() output
   // only depends on (seed, node id), so extending for a larger n is sound).
   std::uint64_t seeds_from_ = 0;
   bool seeds_valid_ = false;
   std::vector<std::uint64_t> coin_seeds_;
-  // Fast path: program/history arena — SoA node state replacing the scalar
-  // loop's vector-of-NodeState, with history buffers whose capacity
-  // survives across runs.
+  // Fast path: per-node state.  A stopped node's history length is fixed
+  // when it stops; an awake node's is the current round minus its wake
+  // round, so parked rounds cost nothing.
   std::vector<std::unique_ptr<NodeProgram>> programs_;
-  std::vector<History> histories_;
-  std::vector<std::size_t> dropped_;
+  std::vector<SparseHistory> histories_;
+  std::vector<std::uint8_t> phase_;
   std::vector<config::Round> wake_round_;
-  std::vector<Message> outgoing_;
   std::vector<std::uint8_t> forced_;
-  std::vector<std::uint8_t> woke_now_;
-  // Fast path: round bitsets and worklists.
-  AdjacencyBitmap adjacency_;
-  std::vector<std::uint64_t> awake_bits_;
-  std::vector<std::uint64_t> terminated_bits_;
-  std::vector<std::uint64_t> transmit_bits_;
-  std::vector<std::uint64_t> heard_bits_;
-  std::vector<graph::NodeId> awake_list_;
-  std::vector<graph::NodeId> woke_list_;
+  std::vector<std::size_t> stopped_length_;
+  std::vector<config::Round> transmit_round_;
+  std::vector<Message> outgoing_;
+  // Fast path: calendars, each sorted or heap-ordered by global round, and
+  // the round's worklists.  `due_` holds the nodes that decide next round
+  // (programs without a streak); `parked_` is a min-heap of the others.
   std::vector<std::pair<config::Round, graph::NodeId>> wake_events_;
-  // Fault path: per-run fault state and effective (staggered) wakeup tags.
-  fault::FaultContext fault_;
-  std::vector<config::Round> effective_tag_;
+  std::vector<std::pair<std::uint64_t, graph::NodeId>> crash_events_;
+  std::vector<std::pair<config::Round, graph::NodeId>> parked_;
+  std::vector<graph::NodeId> due_;
+  std::vector<graph::NodeId> acting_;
+  std::vector<graph::NodeId> woke_;
+  std::vector<graph::NodeId> touched_;
 };
 
 /// Executes one protocol on one configuration.
@@ -228,7 +241,15 @@ class Simulator {
 
  private:
   [[nodiscard]] RunResult run_scalar(SimulatorScratch& scratch) const;
-  [[nodiscard]] RunResult run_bitset(SimulatorScratch& scratch) const;
+  [[nodiscard]] RunResult run_event(SimulatorScratch& scratch) const;
+
+  /// The history window in force (nullopt: retain everything).
+  [[nodiscard]] std::optional<std::size_t> window() const;
+
+  /// Rebinds the scratch's fault state to this run and, under an
+  /// adversarial-wake plan, fills its staggered wakeup tags; returns the
+  /// context.
+  const fault::FaultContext& prepare_faults(SimulatorScratch& scratch) const;
 
   const config::Configuration& configuration_;
   const Drip& drip_;

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/parse.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define ARL_STORE_HAS_POSIX_IO 1
@@ -44,42 +45,21 @@ std::uint64_t entry_key(const config::Configuration& configuration, radio::Chann
       .digest();
 }
 
-std::string hex64(std::uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
-std::uint64_t parse_hex64(const std::string& token) {
-  ARL_EXPECTS(
-      token.size() == 16 && token.find_first_not_of("0123456789abcdef") == std::string::npos,
-      "artifact field must be 16 lowercase hex digits");
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
-  }
-  return value;
-}
-
 /// Composes the full entry file contents (including the `end` line).
 std::string compose_entry(std::uint64_t key, const config::Configuration& configuration,
                           radio::ChannelModel model, bool fast_classifier,
                           const core::CompiledConfiguration& compiled) {
   std::ostringstream body;
   body << "arl-artifact 1\n";
-  body << "key " << hex64(key) << '\n';
+  body << "key " << support::hex64(key) << '\n';
   body << "model " << (model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd") << '\n';
   body << "fast " << (fast_classifier ? 1 : 0) << '\n';
-  body << "config-fingerprint " << hex64(config::fingerprint(configuration)) << '\n';
+  body << "config-fingerprint " << support::hex64(config::fingerprint(configuration)) << '\n';
   body << "classification-fingerprint "
-       << hex64(core::classification_fingerprint(compiled.classification)) << '\n';
+       << support::hex64(core::classification_fingerprint(compiled.classification)) << '\n';
   if (compiled.schedule != nullptr) {
-    body << "schedule-fingerprint " << hex64(core::schedule_fingerprint(*compiled.schedule))
-         << '\n';
+    body << "schedule-fingerprint "
+         << support::hex64(core::schedule_fingerprint(*compiled.schedule)) << '\n';
   } else {
     body << "schedule-fingerprint -\n";
   }
@@ -89,7 +69,7 @@ std::string compose_entry(std::uint64_t key, const config::Configuration& config
     core::schedule_to_text(*compiled.schedule, body);
   }
   std::string text = body.str();
-  text += "end " + hex64(support::hash_text_bulk(text, kBodyDigestSeed)) + '\n';
+  text += "end " + support::hex64(support::hash_text_bulk(text, kBodyDigestSeed)) + '\n';
   return text;
 }
 
@@ -124,7 +104,8 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
     std::string digest;
     parse >> keyword >> digest;
     ARL_EXPECTS(!parse.fail() && keyword == "end", "artifact missing 'end' digest line");
-    ARL_EXPECTS(parse_hex64(digest) == support::hash_text_bulk(body, kBodyDigestSeed),
+    ARL_EXPECTS(support::parse_hex64<support::ContractViolation>(digest, "end") ==
+                    support::hash_text_bulk(body, kBodyDigestSeed),
                 "artifact body digest mismatch");
   }
 
@@ -138,24 +119,27 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
     parse >> keyword >> value;
     ARL_EXPECTS(!parse.fail() && keyword == name, "malformed artifact header field");
   };
+  const auto hex_field = [&](const char* name) {
+    field(name);
+    return support::parse_hex64<support::ContractViolation>(value, name);
+  };
 
   field("arl-artifact");
   ARL_EXPECTS(value == "1", "unknown artifact format version");
-  field("key");
-  ARL_EXPECTS(parse_hex64(value) == key, "artifact key mismatch");
+  ARL_EXPECTS(hex_field("key") == key, "artifact key mismatch");
   field("model");
   ARL_EXPECTS(value == (model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd"),
               "artifact channel model mismatch");
   field("fast");
   ARL_EXPECTS(value == (fast_classifier ? "1" : "0"), "artifact classifier choice mismatch");
-  field("config-fingerprint");
-  ARL_EXPECTS(parse_hex64(value) == config::fingerprint(configuration),
+  ARL_EXPECTS(hex_field("config-fingerprint") == config::fingerprint(configuration),
               "artifact configuration fingerprint mismatch");
-  field("classification-fingerprint");
-  const std::uint64_t classification_digest = parse_hex64(value);
+  const std::uint64_t classification_digest = hex_field("classification-fingerprint");
   field("schedule-fingerprint");
   const bool has_schedule = value != "-";
-  const std::uint64_t schedule_digest = has_schedule ? parse_hex64(value) : 0;
+  const std::uint64_t schedule_digest =
+      has_schedule ? support::parse_hex64<support::ContractViolation>(value, "schedule-fingerprint")
+                   : 0;
 
   // The embedded sections.  config::from_text is self-terminating, so the
   // sections parse back to back from the same stream.
@@ -302,14 +286,15 @@ ArtifactStore::ArtifactStore(std::string directory) : directory_(std::move(direc
 
 std::string ArtifactStore::entry_path(const config::Configuration& configuration,
                                       radio::ChannelModel model, bool fast_classifier) const {
-  return directory_ + '/' + hex64(entry_key(configuration, model, fast_classifier)) + ".arl";
+  return directory_ + '/' + support::hex64(entry_key(configuration, model, fast_classifier)) +
+         ".arl";
 }
 
 std::shared_ptr<const core::CompiledConfiguration> ArtifactStore::load(
     const config::Configuration& configuration, radio::ChannelModel model, bool fast_classifier) {
   const obs::PhaseTimer span(obs::Phase::StoreLoad);
   const std::uint64_t key = entry_key(configuration, model, fast_classifier);
-  const std::string path = directory_ + '/' + hex64(key) + ".arl";
+  const std::string path = directory_ + '/' + support::hex64(key) + ".arl";
 
   std::string text;
   {
@@ -350,7 +335,7 @@ void ArtifactStore::save(const config::Configuration& configuration, radio::Chan
                          bool fast_classifier, const core::CompiledConfiguration& compiled) {
   const obs::PhaseTimer span(obs::Phase::StoreSave);
   const std::uint64_t key = entry_key(configuration, model, fast_classifier);
-  const std::string path = directory_ + '/' + hex64(key) + ".arl";
+  const std::string path = directory_ + '/' + support::hex64(key) + ".arl";
 
   // An entry on disk is at least classification-complete; only a schedule
   // upgrade justifies rewriting it (and a classification-only save must

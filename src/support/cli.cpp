@@ -1,9 +1,10 @@
 #include "support/cli.hpp"
 
-#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "support/assert.hpp"
+#include "support/parse.hpp"
 
 namespace arl::support {
 
@@ -56,12 +57,8 @@ std::int64_t Args::get_int(const std::string& name, std::int64_t fallback) const
   if (!value) {
     return fallback;
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  ARL_EXPECTS(end != value->c_str() && *end == '\0' && errno != ERANGE,
-              "malformed or out-of-range integer for --" + name);
-  return parsed;
+  return static_cast<std::int64_t>(
+      parse_integer(*value, "--" + name, std::numeric_limits<std::int64_t>::max()));
 }
 
 double Args::get_double(const std::string& name, double fallback) const {

@@ -30,8 +30,11 @@ class Args {
   /// (empty when the flag was never given).
   [[nodiscard]] std::vector<std::string> get_strings(const std::string& name) const;
 
-  /// Integer value of `--name=value`, or `fallback` when absent.  A value
-  /// outside the int64 range throws rather than clamping.
+  /// Integer value of `--name=value`, or `fallback` when absent.  The value
+  /// is digits only (support::parse_integer: no sign, space or base prefix)
+  /// and at most the int64 maximum; anything else throws
+  /// support::ContractViolation naming the flag.  Each caller checks its
+  /// flag's own range.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
 
   /// Double value of `--name=value`, or `fallback` when absent.

@@ -98,4 +98,15 @@ std::string shortest_double(double value) {
   return std::to_string(value);
 }
 
+std::string hex64(std::uint64_t value) {
+  // Called per job line when a shard report is written: no stream setup.
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
+    value >>= 4;
+  }
+  return out;
+}
+
 }  // namespace arl::support

@@ -5,8 +5,9 @@
 /// on what a number or a spec looks like: the protocol, workload and fault
 /// registries (specs spelled `kind[:params]`), the shard-report wire format
 /// (dist/report_io.cpp) and the sweep-service protocol
-/// (serve/serve_proto.cpp).  A new registry or axis is a kind table and a
-/// switch over these helpers, not another parser.
+/// (serve/serve_proto.cpp), plus the 16-hex-digit spelling the shard wire
+/// and the artifact store share.  A new registry or axis is a kind table
+/// and a switch over these helpers, not another parser.
 ///
 /// `TokenCursor` serves the artifact text formats (config::to_text,
 /// classification_to_text, schedule_to_text), whose hot lines carry
@@ -234,6 +235,27 @@ template <typename Kind, std::size_t N>
 /// canonical form of a probability in a spec name ("0.3", not
 /// "0.29999999999999999").
 [[nodiscard]] std::string shortest_double(double value);
+
+/// `value` as exactly 16 lowercase hex digits: the one spelling of a 64-bit
+/// digest, fingerprint or key on the shard-report wire and in the artifact
+/// store.
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
+/// Parses hex64's spelling and nothing else: exactly 16 characters of
+/// [0-9a-f] (no prefix, no uppercase).  Throws the reader's own `Error`,
+/// "<what> must be 16 lowercase hex digits (got '<token>')", otherwise.
+template <typename Error>
+[[nodiscard]] std::uint64_t parse_hex64(std::string_view token, std::string_view what) {
+  if (token.size() != 16 || token.find_first_not_of("0123456789abcdef") != token.npos) {
+    throw Error(std::string(what) + " must be 16 lowercase hex digits (got '" +
+                std::string(token) + "')");
+  }
+  std::uint64_t value = 0;
+  for (const char c : token) {
+    value = (value << 4) | static_cast<std::uint64_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  }
+  return value;
+}
 
 /// Parses a spec name a wire carries with its registry's `parse` and
 /// requires the spec's canonical name to be `text` itself: a spec travels

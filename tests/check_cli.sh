@@ -440,6 +440,20 @@ if ! diff <(filter "$tmpdir/resumed.txt") <(filter "$tmpdir/single.txt") >/dev/n
   fail "resumed merge should print exactly the uninterrupted sweep tables"
 fi
 
+# Integer flags are digits only: a sign, a space or a base prefix is a
+# usage error, not a number strtoll would have read.
+for flag in count threads n; do
+  for value in +3 " 3" "3 " 0x3; do
+    out=$("$cli" sweep "--$flag=$value" --count=1 2>&1)  # the first spelling wins
+    status=$?
+    [ "$status" -eq 2 ] || fail "--$flag='$value': expected exit 2, got $status"
+    case "$out" in
+      *"--$flag"*) ;;
+      *) fail "--$flag='$value' error should name the flag: $out" ;;
+    esac
+  done
+done
+
 # --seed takes the full u64 range and nothing else: the seed merge --missing
 # prints back must rerun the same sweep, even above 2^63.
 for value in -5 18446744073709551616 +5 " 5" 0x5 1e3 ""; do

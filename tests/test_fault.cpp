@@ -356,9 +356,10 @@ TEST(FaultBatch, FaultedBatchesAreShardInvariant) {
   EXPECT_EQ(full.jobs, stitched);
 }
 
-TEST(FaultBatch, ActiveFaultsFallBackToTheScalarEngine) {
-  // An active fault forces the reference loop no matter which engine was
-  // requested, so all three modes must agree bit-for-bit.
+TEST(FaultBatch, ActiveFaultsRunIdenticallyOnEveryEngine) {
+  // Faulted jobs run on the requested engine — the scalar reference loop or
+  // the event-driven fast path — and all three modes must agree
+  // bit-for-bit, injected-event counters included.
   const fault::FaultSpec spec = fault::FaultSpec::corrupt(0.2);
   const engine::BatchReport automatic = run_faulted(spec, 2, engine::EngineMode::Auto);
   const engine::BatchReport scalar = run_faulted(spec, 2, engine::EngineMode::Scalar);

@@ -1,8 +1,14 @@
 /// \file test_radio.cpp
 /// Simulator semantics tests: channel resolution, wakeup rules, termination,
-/// histories, windowing, statistics, tracing — the radio model of §1.1/§2.
+/// histories, windowing, statistics, tracing — the radio model of §1.1/§2 —
+/// and the dense and sparse history views.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "config/configuration.hpp"
 #include "config/families.hpp"
@@ -239,6 +245,129 @@ TEST(HistoryView, OutOfWindowAccessThrows) {
   EXPECT_THROW((void)view.entry(4), ContractViolation);
   EXPECT_THROW((void)view.entry(7), ContractViolation);
   EXPECT_TRUE(view.last().is_collision());
+}
+
+/// A dense history with the window's chunked eviction, built one append at
+/// a time exactly as the scalar loop builds it.
+struct DenseWindow {
+  radio::History kept;
+  std::size_t dropped = 0;
+
+  void push(radio::HistoryEntry entry, std::size_t window) {
+    kept.push_back(entry);
+    if (kept.size() > 2 * window) {
+      const std::size_t evict = kept.size() - window;
+      kept.erase(kept.begin(), kept.begin() + static_cast<std::ptrdiff_t>(evict));
+      dropped += evict;
+    }
+  }
+};
+
+/// H[t] of a deterministic test history: mostly silence, a message every
+/// 7th round and noise every 11th.
+radio::HistoryEntry sample_entry(std::size_t t) {
+  if (t % 7 == 3) {
+    return radio::HistoryEntry::message(t);
+  }
+  if (t % 11 == 5) {
+    return radio::HistoryEntry::collision();
+  }
+  return radio::HistoryEntry::silence();
+}
+
+TEST(HistoryView, SparseViewAnswersSilenceInTheGaps) {
+  const radio::SparseHistory events{{2, radio::HistoryEntry::message(5)},
+                                    {5, radio::HistoryEntry::collision()}};
+  const radio::HistoryView view(events, /*length=*/8, /*first_kept=*/0);
+  EXPECT_EQ(view.length(), 8u);
+  for (std::size_t t = 0; t < 8; ++t) {
+    const radio::HistoryEntry entry = view.entry(t);
+    if (t == 2) {
+      EXPECT_EQ(entry, radio::HistoryEntry::message(5));
+    } else if (t == 5) {
+      EXPECT_TRUE(entry.is_collision());
+    } else {
+      EXPECT_TRUE(entry.is_silence()) << t;
+    }
+  }
+  EXPECT_TRUE(view.last().is_silence());
+  EXPECT_THROW((void)view.entry(8), ContractViolation);
+  EXPECT_THROW((void)radio::HistoryView(events, 0, 0).last(), ContractViolation);
+}
+
+TEST(HistoryView, SparseWindowTrapsWhereTheDenseWindowDoes) {
+  // The closed form must reproduce the dense store's chunked eviction after
+  // every append, and both views must then trap and answer identically.
+  for (const std::size_t window : {1u, 2u, 3u, 5u, 8u}) {
+    DenseWindow dense;
+    radio::SparseHistory events;
+    for (std::size_t length = 1; length <= 60; ++length) {
+      const radio::HistoryEntry entry = sample_entry(length - 1);
+      dense.push(entry, window);
+      if (!entry.is_silence()) {
+        events.push_back({length - 1, entry});
+      }
+      const std::size_t first_kept = radio::window_first_kept(length, window);
+      ASSERT_EQ(first_kept, dense.dropped) << "window " << window << ", length " << length;
+      const radio::HistoryView dense_view(dense.kept, dense.dropped);
+      const radio::HistoryView sparse_view(events, length, first_kept);
+      ASSERT_EQ(sparse_view.length(), dense_view.length());
+      for (std::size_t t = 0; t < length; ++t) {
+        if (t < first_kept) {
+          EXPECT_THROW((void)dense_view.entry(t), ContractViolation);
+          EXPECT_THROW((void)sparse_view.entry(t), ContractViolation);
+        } else {
+          EXPECT_EQ(sparse_view.entry(t), dense_view.entry(t)) << t;
+        }
+      }
+      EXPECT_EQ(sparse_view.last(), dense_view.last());
+    }
+  }
+  EXPECT_EQ(radio::window_first_kept(1000, std::nullopt), 0u);
+}
+
+TEST(HistoryView, RangeWalkVisitsTheNonSilentEntriesInOrder) {
+  constexpr std::size_t kLength = 40;
+  constexpr std::size_t kWindow = 9;
+  DenseWindow dense;
+  radio::SparseHistory events;
+  for (std::size_t t = 0; t < kLength; ++t) {
+    dense.push(sample_entry(t), kWindow);
+    if (!sample_entry(t).is_silence()) {
+      events.push_back({t, sample_entry(t)});
+    }
+  }
+  const radio::HistoryView dense_view(dense.kept, dense.dropped);
+  const radio::HistoryView sparse_view(events, kLength, dense.dropped);
+  using Visits = std::vector<std::pair<std::size_t, radio::HistoryEntry>>;
+  const auto walk = [](const radio::HistoryView& view, std::size_t begin, std::size_t end,
+                       std::size_t limit) {
+    Visits visits;
+    view.for_each_event(begin, end, [&](std::size_t t, radio::HistoryEntry entry) {
+      visits.emplace_back(t, entry);
+      return visits.size() < limit;
+    });
+    return visits;
+  };
+  for (std::size_t begin = dense.dropped; begin <= kLength; ++begin) {
+    for (std::size_t end = begin; end <= kLength; ++end) {
+      Visits expected;
+      for (std::size_t t = begin; t < end; ++t) {
+        if (!sample_entry(t).is_silence()) {
+          expected.emplace_back(t, sample_entry(t));
+        }
+      }
+      EXPECT_EQ(walk(sparse_view, begin, end, kLength), expected) << begin << ".." << end;
+      EXPECT_EQ(walk(dense_view, begin, end, kLength), expected) << begin << ".." << end;
+      // A visit returning false stops the walk.
+      const Visits first = walk(sparse_view, begin, end, 1);
+      EXPECT_EQ(first.size(), std::min<std::size_t>(1, expected.size()));
+      EXPECT_EQ(walk(dense_view, begin, end, 1), first);
+    }
+  }
+  EXPECT_THROW(walk(sparse_view, dense.dropped - 1, kLength, kLength), ContractViolation);
+  EXPECT_THROW(walk(dense_view, dense.dropped - 1, kLength, kLength), ContractViolation);
+  EXPECT_THROW(walk(sparse_view, kLength, kLength + 1, kLength), ContractViolation);
 }
 
 // ----------------------------------------------------------- labels and env

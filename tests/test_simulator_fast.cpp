@@ -1,14 +1,16 @@
 /// \file test_simulator_fast.cpp
-/// Differential suite for the simulator's word-parallel fast path: the
-/// bitset engine must produce RunResults bit-identical to the scalar
-/// reference loop — same per-node outcomes including full histories, same
-/// RunStats — across channel models, wake policies, history windows,
-/// protocols (with and without listen_streak), scratch reuse, and the batch
-/// engine's scalar/wavefront modes at several thread counts.
+/// Differential suite for the simulator's event-driven fast path: it must
+/// produce RunResults bit-identical to the scalar reference loop — same
+/// per-node outcomes including full histories and energy counters, same
+/// RunStats including the injected-fault counters — across channel models,
+/// wake policies, history windows, protocols (with and without
+/// listen_streak), every fault kind, horizon cut-offs, scratch reuse, and
+/// the batch engine's scalar/wavefront modes at several thread counts.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "engine/schedule_cache.hpp"
 #include "engine/sweep.hpp"
 #include "engine/workload.hpp"
+#include "fault/fault.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "radio/simulator.hpp"
@@ -32,27 +35,45 @@ namespace {
 using namespace arl;
 
 /// Full bit-identity over two runs: everything RunResult exposes.
-void expect_same_run(const radio::RunResult& scalar, const radio::RunResult& bitset,
+void expect_same_run(const radio::RunResult& scalar, const radio::RunResult& fast,
                      const std::string& what) {
-  ASSERT_EQ(scalar.nodes.size(), bitset.nodes.size()) << what;
-  EXPECT_EQ(scalar.rounds_executed, bitset.rounds_executed) << what;
-  EXPECT_EQ(scalar.all_terminated, bitset.all_terminated) << what;
-  EXPECT_TRUE(scalar.stats == bitset.stats) << what;
+  ASSERT_EQ(scalar.nodes.size(), fast.nodes.size()) << what;
+  EXPECT_EQ(scalar.rounds_executed, fast.rounds_executed) << what;
+  EXPECT_EQ(scalar.all_terminated, fast.all_terminated) << what;
+  EXPECT_TRUE(scalar.stats == fast.stats) << what;
   for (std::size_t v = 0; v < scalar.nodes.size(); ++v) {
     const radio::NodeOutcome& a = scalar.nodes[v];
-    const radio::NodeOutcome& b = bitset.nodes[v];
+    const radio::NodeOutcome& b = fast.nodes[v];
     const std::string node_what = what + ", node " + std::to_string(v);
     EXPECT_EQ(a.wake_round, b.wake_round) << node_what;
     EXPECT_EQ(a.forced_wake, b.forced_wake) << node_what;
     EXPECT_EQ(a.terminated, b.terminated) << node_what;
     EXPECT_EQ(a.done_round, b.done_round) << node_what;
     EXPECT_EQ(a.elected, b.elected) << node_what;
+    EXPECT_EQ(a.crashed, b.crashed) << node_what;
+    EXPECT_EQ(a.awake_rounds, b.awake_rounds) << node_what;
+    EXPECT_EQ(a.transmissions, b.transmissions) << node_what;
     EXPECT_EQ(a.history_dropped, b.history_dropped) << node_what;
     ASSERT_EQ(a.history.size(), b.history.size()) << node_what;
     for (std::size_t t = 0; t < a.history.size(); ++t) {
       EXPECT_TRUE(a.history[t] == b.history[t]) << node_what << ", entry " << t;
     }
   }
+}
+
+/// Runs `options` through both engines (fresh scratches) and asserts
+/// bit-identity; returns the scalar run.
+radio::RunResult expect_same_on_both(const config::Configuration& configuration,
+                                     const radio::Drip& drip, radio::SimulatorOptions options,
+                                     const std::string& what) {
+  radio::SimulatorScratch scalar_scratch;
+  radio::SimulatorScratch fast_scratch;
+  options.engine = radio::SimulatorEngine::Scalar;
+  radio::RunResult scalar = radio::simulate(configuration, drip, options, scalar_scratch);
+  options.engine = radio::SimulatorEngine::Event;
+  const radio::RunResult fast = radio::simulate(configuration, drip, options, fast_scratch);
+  expect_same_run(scalar, fast, what);
+  return scalar;
 }
 
 /// The 8 option variants the suite crosses for every (configuration, drip):
@@ -90,19 +111,20 @@ std::string describe(const radio::SimulatorOptions& options) {
   return out;
 }
 
-/// Runs every variant through both engines (fresh scratches) and asserts
-/// bit-identity.
-void expect_differential(const config::Configuration& configuration, const radio::Drip& drip,
-                         std::uint64_t coin_seed, const std::string& what) {
+/// Runs every variant through both engines and asserts bit-identity, under
+/// `fault` (default: none).  Returns how many fault events the runs injected.
+std::uint64_t expect_differential(const config::Configuration& configuration,
+                                  const radio::Drip& drip, std::uint64_t coin_seed,
+                                  const std::string& what, fault::FaultPlan fault = {}) {
+  std::uint64_t injected = 0;
   for (radio::SimulatorOptions options : option_variants(drip, coin_seed)) {
-    radio::SimulatorScratch scalar_scratch;
-    radio::SimulatorScratch bitset_scratch;
-    options.engine = radio::SimulatorEngine::Scalar;
-    const radio::RunResult scalar = radio::simulate(configuration, drip, options, scalar_scratch);
-    options.engine = radio::SimulatorEngine::Bitset;
-    const radio::RunResult bitset = radio::simulate(configuration, drip, options, bitset_scratch);
-    expect_same_run(scalar, bitset, what + " [" + describe(options) + "]");
+    options.fault = fault;
+    const std::string variant = what + " [" + describe(options) + "]";
+    const radio::RunStats stats = expect_same_on_both(configuration, drip, options, variant).stats;
+    injected += stats.injected_drops + stats.injected_corruptions + stats.injected_crashes +
+                stats.delayed_wakeups;
   }
+  return injected;
 }
 
 /// A compiled canonical drip for `configuration` (robust mismatch policy, so
@@ -144,7 +166,7 @@ TEST(SimulatorFast, ExhaustiveSmallConfigurationsBeacon) {
 
 TEST(SimulatorFast, ExhaustiveSmallConfigurationsCanonical) {
   // The canonical DRIP over the full 3-node census: the protocol whose
-  // listen_streak() drives the fast path's bulk skipping.
+  // listen_streak() parks nodes on the fast path.
   const std::vector<engine::BatchJob> jobs = engine::exhaustive_jobs(3, 2);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     for (const radio::ChannelModel model :
@@ -163,7 +185,7 @@ TEST(SimulatorFast, RandomConfigurationsFuzz) {
   // [0, 6] including the all-equal-tags symmetric case), rotating through
   // the protocol zoo: beacons (collisions + forced wakeups), silence
   // (termination discipline), the coin-flipping randomized baseline (the
-  // coin-seed cache), and the canonical DRIP (listen_streak bulk skips).
+  // coin-seed cache), and the canonical DRIP (listen_streak parking).
   // Each runs under all 8 option variants on both engines.
   constexpr std::size_t kConfigs = 10000;
   support::Rng rng(20260808);
@@ -201,6 +223,136 @@ TEST(SimulatorFast, RandomConfigurationsFuzz) {
   }
 }
 
+// ------------------------------------------------------------------ faults
+
+TEST(SimulatorFast, EveryFaultKindMatchesTheScalarLoop) {
+  // Faulted runs take the fast path: the drop/corrupt dice must land on the
+  // same (round, listener) pairs, crashes and staggered wakes at the same
+  // rounds, and every injected-event counter must agree.  Each fault kind
+  // runs the canonical DRIP (robust, so a fault ends it cleanly), beacons
+  // (dense receptions, collisions and forced wakeups) and the randomized
+  // baseline (no listen streak: every node decides every round), under all
+  // 8 option variants.
+  constexpr std::size_t kConfigs = 24;
+  support::Rng rng(20261019);
+  std::vector<config::Configuration> configurations;
+  for (std::size_t i = 0; i < kConfigs; ++i) {
+    configurations.push_back(random_configuration(rng));
+  }
+  for (const char* text :
+       {"drop:0.02", "drop:0.3,7", "corrupt:0.1", "crash:2", "crash:3,8", "adversarial-wake:8"}) {
+    const fault::FaultSpec spec = fault::parse_fault(text);
+    std::uint64_t injected = 0;
+    for (std::size_t i = 0; i < kConfigs; ++i) {
+      const config::Configuration& configuration = configurations[i];
+      const fault::FaultPlan plan{spec, /*seed=*/1000 + i};
+      const std::string what = std::string(text) + " #" + std::to_string(i);
+      const auto canonical = canonical_for(configuration, radio::ChannelModel::CollisionDetection);
+      const testkit::BeaconDrip beacon(1 + i % 4, /*payload=*/1 + i % 3, /*lifetime=*/5 + i % 7);
+      const baselines::RandomizedElection randomized(/*max_slots=*/64);
+      injected += expect_differential(configuration, *canonical, i, what + " canonical", plan);
+      injected += expect_differential(configuration, beacon, i, what + " beacon", plan);
+      injected += expect_differential(configuration, randomized, i, what + " randomized", plan);
+    }
+    // The comparison is only as strong as the faults that fired.
+    EXPECT_GT(injected, 0u) << text;
+  }
+}
+
+// ------------------------------------------------------- long windowed runs
+
+/// A labeled drip whose nodes transmit about every `label + 1`-th local
+/// round (label 0: never) for `lifetime` rounds: long runs dense in
+/// messages and collisions, so a small history window evicts many recorded
+/// events.  When a node transmits, and what, depends on every entry of its
+/// retained window, so one wrong retained entry changes the rest of the
+/// run.
+class ChatterDrip final : public radio::Drip {
+ public:
+  explicit ChatterDrip(config::Round lifetime) : lifetime_(lifetime) {}
+
+  std::unique_ptr<radio::NodeProgram> instantiate(const radio::NodeEnv& env) const override {
+    class Program final : public radio::NodeProgram {
+     public:
+      Program(config::Round period, config::Round lifetime)
+          : period_(period), lifetime_(lifetime) {}
+      radio::Action decide(config::Round i, const radio::HistoryView& history) override {
+        if (i > lifetime_) {
+          return radio::Action::terminate();
+        }
+        radio::Message heard = 0;
+        history.for_each_event(history.first_kept(), history.length(),
+                               [&](std::size_t, radio::HistoryEntry entry) {
+                                 heard += entry.is_message() ? entry.payload() : 7;
+                                 return true;
+                               });
+        if (period_ > 1 && (i + heard) % period_ == 0) {
+          return radio::Action::transmit(1 + heard % 5);
+        }
+        return radio::Action::listen();
+      }
+
+     private:
+      config::Round period_;
+      config::Round lifetime_;
+    };
+    const auto period = static_cast<config::Round>(env.label.value_or(0) + 1);
+    return std::make_unique<Program>(period, lifetime_);
+  }
+  std::string name() const override { return "chatter"; }
+
+ private:
+  config::Round lifetime_;
+};
+
+TEST(SimulatorFast, LongWindowedRunsEvictSparseEventsLikeTheDenseWindow) {
+  // A star whose hub and two leaves chatter at different periods for 300
+  // rounds: the hub hears messages and collisions, the quiet leaves hear
+  // the hub.  Under the 3-entry window the fast path prunes evicted events
+  // from its sparse store many times over; the retained windows must still
+  // equal the dense store's, entry for entry.
+  const config::Configuration configuration(graph::star(6), {0, 0, 1, 0, 2, 0});
+  const ChatterDrip chatter(300);
+  for (radio::SimulatorOptions options : option_variants(chatter, /*coin_seed=*/1)) {
+    options.labels = {4, 1, 2, 0, 0, 0};
+    const std::string what = "chatter [" + describe(options) + "]";
+    const radio::RunResult scalar = expect_same_on_both(configuration, chatter, options, what);
+    EXPECT_GT(scalar.stats.clean_receptions, 100u);
+    if (options.channel_model == radio::ChannelModel::CollisionDetection) {
+      EXPECT_GT(scalar.stats.collisions_heard, 0u);
+    }
+  }
+}
+
+// ---------------------------------------------------- benchmark-scale runs
+
+TEST(SimulatorFast, CanonicalAtTheSparseBenchmarkShape) {
+  // The perfbench canonical-sparse workload (n=256, sparse G(n,p), tag span
+  // 200): phases hundreds of rounds long, a schedule-sized history window,
+  // and about 600 listening rounds per node against one transmission.  Each
+  // configuration runs fault-free and under drop:0.02, with the drip's own
+  // window and with full retention.
+  const engine::WorkloadSpec workload = engine::parse_workload("random:n=256,p=0.03,sigma=200");
+  const std::vector<core::ProtocolSpec> protocols = {core::ProtocolSpec::canonical()};
+  const engine::CountedSweep sweep = workload.instantiate(/*seed=*/9, protocols, {.count = 8});
+  for (engine::JobId id = 0; id < sweep.count; ++id) {
+    const config::Configuration configuration = sweep.source(id).configuration;
+    const auto drip = canonical_for(configuration, radio::ChannelModel::CollisionDetection);
+    for (const fault::FaultSpec& spec : {fault::FaultSpec::none(), fault::FaultSpec::drop(0.02)}) {
+      for (const std::optional<std::size_t> window :
+           {std::optional<std::size_t>{}, std::optional<std::size_t>{0}}) {
+        radio::SimulatorOptions options;
+        options.history_window = window;
+        options.fault = {spec, /*seed=*/id};
+        const std::string what =
+            "sparse #" + std::to_string(id) + " " + spec.name() + (window ? " full" : "");
+        const radio::RunResult scalar = expect_same_on_both(configuration, *drip, options, what);
+        EXPECT_EQ(scalar.stats.transmissions, 256u);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- horizon + fallback
 
 TEST(SimulatorFast, HorizonGuardParity) {
@@ -210,21 +362,47 @@ TEST(SimulatorFast, HorizonGuardParity) {
   const testkit::ImmortalDrip immortal;
   for (radio::SimulatorOptions options : option_variants(immortal, /*coin_seed=*/3)) {
     options.max_rounds = 50;
-    radio::SimulatorScratch scalar_scratch;
-    radio::SimulatorScratch bitset_scratch;
-    options.engine = radio::SimulatorEngine::Scalar;
-    const radio::RunResult scalar =
-        radio::simulate(configuration, immortal, options, scalar_scratch);
-    options.engine = radio::SimulatorEngine::Bitset;
-    const radio::RunResult bitset =
-        radio::simulate(configuration, immortal, options, bitset_scratch);
+    const std::string what = "horizon [" + describe(options) + "]";
+    const radio::RunResult scalar = expect_same_on_both(configuration, immortal, options, what);
     EXPECT_FALSE(scalar.all_terminated);
-    expect_same_run(scalar, bitset, "horizon [" + describe(options) + "]");
+  }
+}
+
+TEST(SimulatorFast, HorizonCutsACanonicalRunWhileNodesAreParked) {
+  // The canonical DRIP parks every node between its transmission round and
+  // the phase boundary, so a horizon inside a phase cuts the run while the
+  // fast path has nodes parked past it.  Lengths, awake rounds and the
+  // retained windows must still match the scalar loop's, at every cut.
+  support::Rng rng(515);
+  const config::Configuration configuration =
+      config::random_tags_with_span(graph::gnp_connected(12, 0.3, rng), 40, rng);
+  const auto drip = canonical_for(configuration, radio::ChannelModel::CollisionDetection);
+  radio::SimulatorOptions options;
+  options.history_window = 0;
+  const radio::RunResult full = expect_same_on_both(configuration, *drip, options, "uncut");
+  ASSERT_TRUE(full.all_terminated);
+  const config::Round sigma = 40;
+  // Cuts in the listening stretches: the first transmission block, the
+  // trailing sigma rounds before the final boundary, and the last round.
+  const config::Round last = full.rounds_executed - 1;
+  for (const config::Round cut : {sigma + 2, last - sigma / 2, last}) {
+    for (radio::SimulatorOptions variant : option_variants(*drip, /*coin_seed=*/cut)) {
+      variant.max_rounds = cut;
+      const std::string what = "cut at " + std::to_string(cut) + " [" + describe(variant) + "]";
+      const radio::RunResult scalar = expect_same_on_both(configuration, *drip, variant, what);
+      if (variant.channel_model == radio::ChannelModel::CollisionDetection) {
+        // The model the schedule was compiled for: the run is conformant,
+        // so the cut is what stops it.  (Without collision detection the
+        // robust program may give up first.)
+        EXPECT_FALSE(scalar.all_terminated);
+        EXPECT_EQ(scalar.rounds_executed, cut);
+      }
+    }
   }
 }
 
 TEST(SimulatorFast, TraceForcesScalarFallback) {
-  // A trace sink pins the run to the scalar loop even under Bitset/Auto; the
+  // A trace sink pins the run to the scalar loop even under Event; the
   // recorded transmissions must match a plain scalar run.
   const config::Configuration configuration = config::staggered_path(4);
   const testkit::BeaconDrip beacon(1, 9, 5);
@@ -235,13 +413,13 @@ TEST(SimulatorFast, TraceForcesScalarFallback) {
   options.trace = &scalar_log;
   const radio::RunResult scalar = radio::simulate(configuration, beacon, options);
 
-  testkit::TransmissionLog bitset_log;
-  options.engine = radio::SimulatorEngine::Bitset;
-  options.trace = &bitset_log;
-  const radio::RunResult bitset = radio::simulate(configuration, beacon, options);
+  testkit::TransmissionLog event_log;
+  options.engine = radio::SimulatorEngine::Event;
+  options.trace = &event_log;
+  const radio::RunResult traced = radio::simulate(configuration, beacon, options);
 
-  expect_same_run(scalar, bitset, "trace fallback");
-  EXPECT_EQ(scalar_log.entries(), bitset_log.entries());
+  expect_same_run(scalar, traced, "trace fallback");
+  EXPECT_EQ(scalar_log.entries(), event_log.entries());
 }
 
 // ------------------------------------------------------------ scratch reuse
@@ -258,7 +436,7 @@ TEST(SimulatorFast, ScratchReuseStaysBitIdentical) {
   }
   radio::SimulatorScratch reused;
   for (const radio::SimulatorEngine engine :
-       {radio::SimulatorEngine::Scalar, radio::SimulatorEngine::Bitset}) {
+       {radio::SimulatorEngine::Scalar, radio::SimulatorEngine::Event}) {
     int step = 0;
     for (const std::size_t index : {0u, 1u, 0u, 2u, 3u, 3u, 4u, 5u, 0u}) {
       const config::Configuration& configuration = configurations[index];
@@ -271,7 +449,7 @@ TEST(SimulatorFast, ScratchReuseStaysBitIdentical) {
       const radio::RunResult with_fresh = radio::simulate(configuration, beacon, options, fresh);
       expect_same_run(with_fresh, with_reuse,
                       "scratch reuse step " + std::to_string(step) +
-                          (engine == radio::SimulatorEngine::Scalar ? " scalar" : " bitset"));
+                          (engine == radio::SimulatorEngine::Scalar ? " scalar" : " event"));
       ++step;
     }
   }
@@ -287,7 +465,7 @@ TEST(SimulatorFast, DroppedHistoriesPreserveEverythingElse) {
     const config::Configuration configuration = random_configuration(rng);
     const testkit::BeaconDrip beacon(1 + i % 3, 2, 5 + i % 4);
     for (const radio::SimulatorEngine engine :
-         {radio::SimulatorEngine::Scalar, radio::SimulatorEngine::Bitset}) {
+         {radio::SimulatorEngine::Scalar, radio::SimulatorEngine::Event}) {
       radio::SimulatorOptions options;
       options.engine = engine;
       const radio::RunResult kept = radio::simulate(configuration, beacon, options);
@@ -344,9 +522,9 @@ TEST(SimulatorFast, EngineModesProduceSameResultsAcrossThreadCounts) {
 
 TEST(SimulatorFast, MutationSweepEngineParityAtN64) {
   // The E5 benchmark shape in miniature: single-tag mutations of an n=64
-  // configuration with a large tag span, where the wavefront mode's bulk
-  // skipping does almost all the work.  Scalar and wavefront reports must
-  // carry identical results.
+  // configuration with a large tag span, where nodes spend almost every
+  // round parked on the fast path.  Scalar and wavefront reports must carry
+  // identical results.
   support::Rng rng(4242);
   const config::Configuration base =
       config::random_tags_with_span(graph::gnp_connected(64, 0.1, rng), 256, rng);

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -222,6 +223,20 @@ TEST(Args, MalformedNumbersThrow) {
   EXPECT_THROW((void)args.get_int("big", 0), ContractViolation);  // clamped before
 }
 
+TEST(Args, IntegersAreDigitsOnly) {
+  // strtoll would read each of these as a number; the flag grammar is the
+  // registries' (support::parse_integer), so they are usage errors.
+  for (const char* flag : {"--n=+3", "--n= 3", "--n=3 ", "--n=0x3", "--n=-3", "--n=", "--n=1e3"}) {
+    const char* argv[] = {"prog", flag};
+    const Args args(2, argv);
+    EXPECT_THROW((void)args.get_int("n", 0), ContractViolation) << flag;
+  }
+  const char* argv[] = {"prog", "--n=03", "--max=9223372036854775807"};
+  const Args args(3, argv);
+  EXPECT_EQ(args.get_int("n", 0), 3);
+  EXPECT_EQ(args.get_int("max", 0), std::numeric_limits<std::int64_t>::max());
+}
+
 // -------------------------------------------------------------- thread pool
 
 TEST(ThreadPool, RunsSubmittedTasks) {
@@ -398,6 +413,36 @@ TEST(SpecGrammar, WireFieldsRejectEmptyFieldsWithTheCallersError) {
             (std::vector<std::string_view>{"seed", "5"}));
   for (const char* line : {"", " seed 5", "seed 5 ", "seed  5"}) {
     EXPECT_THROW((void)wire_fields<std::runtime_error>(line), std::runtime_error) << line;
+  }
+}
+
+TEST(SpecGrammar, Hex64IsExactlySixteenLowercaseDigits) {
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{0xabc}, std::uint64_t{0x0123456789abcdef},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    const std::string text = hex64(value);
+    EXPECT_EQ(text.size(), 16u);
+    EXPECT_EQ(parse_hex64<std::runtime_error>(text, "digest"), value) << text;
+  }
+  EXPECT_EQ(hex64(0xabc), "0000000000000abc");
+  for (const char* token :
+       {"000000000000abc",     // 15 digits
+        "00000000000000abc",   // 17 digits
+        "0000000000000ABC",    // uppercase digits
+        "0x00000000000abc",    // a base prefix
+        "000000000000abcg",    // a non-hex letter
+        "00000000000 0abc",    // a space
+        "-000000000000abc",    // a sign
+        ""}) {
+    EXPECT_THROW((void)parse_hex64<std::runtime_error>(token, "digest"), std::runtime_error)
+        << token;
+  }
+  try {
+    (void)parse_hex64<std::runtime_error>("xyz", "sweep digest");
+    ADD_FAILURE() << "a malformed digest must throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "sweep digest must be 16 lowercase hex digits (got 'xyz')");
   }
 }
 

@@ -158,9 +158,10 @@ commands:
                                  bit-identical with the store on, off or
                                  pre-populated
                --engine=MODE     simulation path: auto (default), scalar (the
-                                 reference loop) or wavefront (word-parallel
-                                 fast path); results are bit-identical, only
-                                 throughput differs
+                                 reference loop) or wavefront (the
+                                 event-driven fast path, faulted runs
+                                 included; auto = wavefront); results are
+                                 bit-identical, only throughput differs
                --metrics-out=FILE  write the run's phase-timing metrics as a
                                  flat JSON object to FILE: per-phase counts
                                  (deterministic at --threads=1) plus total
@@ -1028,11 +1029,7 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
 }
 
 int cmd_sweep(const support::Args& args) {
-  const std::int64_t count_flag = args.get_int("count", 100);
-  if (count_flag < 0) {
-    throw support::ContractViolation("--count must be >= 0");
-  }
-  const auto count = static_cast<std::size_t>(count_flag);
+  const auto count = static_cast<std::size_t>(args.get_int("count", 100));
   // Guard against pathological worker counts: a typo'd --threads must fail
   // with a usage error, not silently spawn thousands of threads.
   const std::int64_t threads_flag = args.get_int("threads", 0);
