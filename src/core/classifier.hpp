@@ -5,11 +5,17 @@
 /// 1-4) and its result record.
 ///
 /// `Classifier::run` decides whether a configuration is feasible — whether
-/// any deterministic distributed algorithm can elect a leader on it — in
-/// O(n³Δ) time (Lemma 3.5, Theorem 3.17).  The run records every iteration's
-/// partition, labels and class representatives; those records are exactly
-/// the list sequence L_j from which the canonical DRIP (§3.3.1) is compiled,
-/// so a "Yes" answer doubles as a constructive leader election algorithm.
+/// any deterministic distributed algorithm can elect a leader on it.  The
+/// paper's formulation takes O(n³Δ) time (Lemma 3.5, Theorem 3.17); the run
+/// records every iteration's partition, labels and class representatives,
+/// and those records are exactly the list sequence L_j from which the
+/// canonical DRIP (§3.3.1) is compiled, so a "Yes" answer doubles as a
+/// constructive leader election algorithm.
+///
+/// One loop (`classify`) runs Algorithm 4 for every classifier; only
+/// Algorithm 2 (Refine) varies.  Production refines through hashed
+/// (old class, label) buckets; the paper's rep scan is kept as the
+/// reference the hashed form is tested against.
 
 #include <cstdint>
 #include <vector>
@@ -65,8 +71,12 @@ struct ClassifierResult {
   /// ...and the unique node in it (the elected leader of the canonical DRIP).
   graph::NodeId leader = 0;
 
-  /// Basic-operation counter (label construction + label comparisons), for
-  /// validating the O(n³Δ) bound of Lemma 3.5.
+  /// Basic-operation counter of the paper's formulation — label
+  /// construction plus the rep-scan Refine's label comparisons — for
+  /// validating the O(n³Δ) bound of Lemma 3.5.  `Classifier` computes the
+  /// rep scan's count without performing its comparisons (see
+  /// Refine::Hashed); `FastClassifier` charges one step per bucket lookup
+  /// instead.
   std::uint64_t steps = 0;
 
   friend bool operator==(const ClassifierResult& a, const ClassifierResult& b) = default;
@@ -81,7 +91,35 @@ struct ClassifierResult {
   [[nodiscard]] ClassId num_classes_after(std::uint32_t j) const;
 };
 
-/// Paper-faithful implementation of Algorithms 1-4 (rep-scan Refine).
+/// How Algorithm 2 (Refine) sorts nodes into classes, and what it charges
+/// to ClassifierResult::steps.  All three give the same partitions, class
+/// numbering, representatives, labels, iterations and verdict.
+enum class Refine : std::uint8_t {
+  /// Buckets keyed by (old class, label), pre-seeded with the old
+  /// representatives so surviving classes keep their numbers and new ones
+  /// open in vertex order, as in the paper.  Charged the rep scan's exact
+  /// count in closed form: node v against K classes costs
+  /// Σ_k (1 + min(|L_v|, |L_rep_k|)), one Fenwick-tree query over the
+  /// representatives' label sizes.  `Classifier` runs this.
+  Hashed,
+  /// The same buckets, charged one step per lookup.  `FastClassifier`
+  /// runs this.
+  HashedPerLookup,
+  /// The paper's scan of every node against every class representative,
+  /// performing each comparison it charges: O(n²Δ) per iteration.  The
+  /// reference the hashed forms are checked against (test_classifier,
+  /// bench_refine), the way the scalar simulator loop is the event engine's.
+  RepScan,
+};
+
+/// Algorithm 4: Init-Aug (Algorithm 1), then Partitioner iterations
+/// (Algorithm 3) refined by `refine`, until a singleton class elects its node
+/// or the partition stops changing.  The one loop behind every classifier.
+[[nodiscard]] ClassifierResult classify(const config::Configuration& configuration,
+                                        radio::ChannelModel model, Refine refine);
+
+/// Algorithms 1-4 with hashed refinement; `steps` is the paper's rep-scan
+/// count, computed without performing its comparisons (Refine::Hashed).
 class Classifier {
  public:
   /// The paper's model has collision detection; NoCollisionDetection is the
@@ -91,7 +129,9 @@ class Classifier {
       : model_(model) {}
 
   /// Runs Classifier on `configuration` (Algorithm 4).
-  [[nodiscard]] ClassifierResult run(const config::Configuration& configuration) const;
+  [[nodiscard]] ClassifierResult run(const config::Configuration& configuration) const {
+    return classify(configuration, model_, Refine::Hashed);
+  }
 
   /// The channel model the classification assumes.
   [[nodiscard]] radio::ChannelModel model() const { return model_; }

@@ -1,29 +1,30 @@
 #pragma once
 
 /// \file fast_classifier.hpp
-/// Hash-bucket variant of the Classifier (ablation E10).
+/// `FastClassifier`: the Classifier charged one step per bucket lookup.
 ///
-/// Replaces Algorithm 2's rep-scan refinement — O(n²Δ) per iteration — with
-/// hashed (old class, label) buckets — O(nΔ) expected per iteration.  The
-/// output (verdict, per-iteration partitions, class numbering, reps, leader)
-/// is bit-for-bit identical to `Classifier`: buckets are pre-seeded with the
-/// previous representatives so surviving classes keep their numbers, and new
-/// classes are opened in the same fixed vertex order.  The equivalence is
-/// enforced by differential tests over exhaustive and random configurations.
+/// Both classes run the same loop (`classify`) with the same hashed Refine,
+/// so verdict, per-iteration partitions, class numbering, reps, labels and
+/// leader are identical; only `steps` differs — `Classifier` charges the
+/// paper's rep-scan count, `FastClassifier` one step per lookup.  The name
+/// survives as a cache and store key space (`use_fast_classifier`).
 
 #include "core/classifier.hpp"
 
 namespace arl::core {
 
-/// Drop-in replacement for `Classifier` with hashed refinement.
+/// The Classifier with Refine::HashedPerLookup.
 class FastClassifier {
  public:
   /// Same channel-model parameter as Classifier.
   explicit FastClassifier(radio::ChannelModel model = radio::ChannelModel::CollisionDetection)
       : model_(model) {}
 
-  /// Runs the classification; same result contract as Classifier::run.
-  [[nodiscard]] ClassifierResult run(const config::Configuration& configuration) const;
+  /// Runs the classification; same result contract as Classifier::run,
+  /// except for what `steps` counts.
+  [[nodiscard]] ClassifierResult run(const config::Configuration& configuration) const {
+    return classify(configuration, model_, Refine::HashedPerLookup);
+  }
 
  private:
   radio::ChannelModel model_;

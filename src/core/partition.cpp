@@ -13,14 +13,17 @@ std::vector<Label> compute_labels(const config::Configuration& configuration,
   const graph::NodeId n = graph.node_count();
   ARL_EXPECTS(clazz.size() == n, "one class per node required");
   const config::Tag sigma = configuration.span();
+  const std::vector<config::Tag>& tags = configuration.tags();
 
   std::uint64_t ops = 0;
   std::vector<Label> labels(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     Label& list = labels[v];
-    const auto tv = static_cast<std::int64_t>(configuration.tag(v));
-    for (const graph::NodeId w : graph.neighbors(v)) {
-      const auto tw = static_cast<std::int64_t>(configuration.tag(w));
+    const auto neighbors = graph.neighbors(v);
+    list.reserve(neighbors.size());  // at most one triple per neighbour
+    const auto tv = static_cast<std::int64_t>(tags[v]);
+    for (const graph::NodeId w : neighbors) {
+      const auto tw = static_cast<std::int64_t>(tags[w]);
       if (clazz[w] == clazz[v] && tw == tv) {
         // v and w would transmit simultaneously: v neither receives w's
         // transmission nor detects a collision from it (Algorithm 3 line 4).

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file partition.hpp
-/// Shared helpers of the two Classifier implementations: the label
-/// computation from Algorithm 3 (Partitioner, lines 1-22) and partition
-/// inspection utilities.
+/// Helpers of the Classifier loop: the label computation from Algorithm 3
+/// (Partitioner, lines 1-22) and partition inspection utilities.
 
 #include <cstdint>
 #include <optional>

@@ -158,13 +158,26 @@ Graph gnp_connected(NodeId n, double p, support::Rng& rng) {
   ARL_EXPECTS(n >= 1, "graph needs at least one node");
   ARL_EXPECTS(p >= 0.0 && p <= 1.0, "probability out of range");
   Graph::Builder builder(n);
+  // The pair loop draws on a local copy of the stream and writes each row's
+  // hits into a buffer sized for a full row, adding them to the builder
+  // only after the row: with no call inside the loop, the generator state
+  // stays in registers instead of going through memory on every draw.  The
+  // stream is written back, so the caller sees exactly the draws of one
+  // bernoulli(p) per pair.
+  support::Rng local = rng;
+  std::vector<NodeId> hits(n);
   for (NodeId u = 0; u < n; ++u) {
+    NodeId* end = hits.data();
     for (NodeId v = u + 1; v < n; ++v) {
-      if (rng.bernoulli(p)) {
-        builder.add_edge(u, v);
+      if (local.bernoulli(p)) {
+        *end++ = v;
       }
     }
+    for (const NodeId* hit = hits.data(); hit != end; ++hit) {
+      builder.add_edge(u, *hit);
+    }
   }
+  rng = local;
   // Stitch components together with uniformly random cross edges so that the
   // sample is always usable as a radio network.
   for (;;) {

@@ -9,6 +9,7 @@
 /// statistically independent child streams, which is how parallel sweeps stay
 /// deterministic regardless of thread scheduling.
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -22,8 +23,19 @@ class Rng {
   /// Seeds the stream; two Rng with the same seed produce identical output.
   explicit Rng(std::uint64_t seed);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value.  Defined here so that hot draw loops (the
+  /// G(n, p) pair loop) keep the four state words in registers.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform value in [0, bound). Requires bound > 0.
   std::uint64_t below(std::uint64_t bound);
@@ -34,8 +46,22 @@ class Rng {
   /// Uniform double in [0, 1).
   double real();
 
-  /// True with probability p (clamped to [0, 1]).
-  bool bernoulli(double p);
+  /// True with probability p (clamped to [0, 1]).  p <= 0 and p >= 1
+  /// consume no draw; every other p, NaN included, consumes exactly one, and
+  /// NaN returns false.  Draw for draw the result equals `real() < p`:
+  /// real() is (next() >> 11) / 2^53, scaling p by 2^53 is exact, and an
+  /// integer is below p * 2^53 exactly when it is below its ceiling.
+  bool bernoulli(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    // NaN fails `p > 0` and gets threshold 0, which no draw is below.
+    const double threshold = p > 0.0 ? std::ceil(p * 0x1.0p53) : 0.0;
+    return (next() >> 11) < static_cast<std::uint64_t>(threshold);
+  }
 
   /// Derives an independent child stream; children with distinct ids are
   /// independent of each other and of the parent's future output.
@@ -59,6 +85,8 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t state_[4];
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "config/configuration.hpp"
 #include "core/classifier.hpp"
+#include "graph/enumeration.hpp"
 #include "graph/graph.hpp"
 #include "radio/program.hpp"
 #include "radio/simulator.hpp"
@@ -177,6 +179,32 @@ inline bool same_partition(const std::vector<core::ClassId>& a,
     }
   }
   return true;
+}
+
+/// Applies `body` to every configuration of `n` nodes with tags over
+/// {0..max_tag}; returns how many configurations were visited.
+inline std::uint64_t for_each_configuration(
+    graph::NodeId n, config::Tag max_tag,
+    const std::function<void(const config::Configuration&)>& body) {
+  std::uint64_t visited = 0;
+  graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
+    std::vector<config::Tag> tags(n, 0);
+    for (;;) {
+      body(config::Configuration(g, tags));
+      ++visited;
+      // Odometer increment over {0..max_tag}^n.
+      graph::NodeId position = 0;
+      while (position < n && tags[position] == max_tag) {
+        tags[position] = 0;
+        ++position;
+      }
+      if (position == n) {
+        break;
+      }
+      ++tags[position];
+    }
+  });
+  return visited;
 }
 
 }  // namespace arl::testkit

@@ -1,15 +1,23 @@
 /// \file test_classifier.cpp
 /// Tests for the Classifier (Algorithms 1-4): hand-computed partitions and
 /// labels on the paper's families, structural properties (Observation 3.2,
-/// Corollary 3.3, Lemma 3.4), and differential equality with FastClassifier.
+/// Corollary 3.3, Lemma 3.4), exact equality with the rep-scan reference
+/// (every result field, `steps` included), and differential equality with
+/// FastClassifier.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "config/families.hpp"
+#include "config/io.hpp"
 #include "core/classifier.hpp"
 #include "core/fast_classifier.hpp"
 #include "core/partition.hpp"
+#include "engine/workload.hpp"
 #include "graph/generators.hpp"
+#include "helpers.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -259,5 +267,104 @@ TEST_P(ClassifierEquivalence, FastMatchesPaperOnRandomConfigurations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassifierEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// ------------------------------------ exact: the rep-scan reference
+
+/// Runs the production Classifier and the rep-scan reference under both
+/// channel models on every configuration it is shown, and counts the runs
+/// whose results differ in any field — `steps`, the paper's count that the
+/// production Refine computes in closed form, included.
+class ReferenceDifferential {
+ public:
+  void check(const config::Configuration& c) {
+    for (const radio::ChannelModel model :
+         {radio::ChannelModel::CollisionDetection, radio::ChannelModel::NoCollisionDetection}) {
+      const core::ClassifierResult reference = core::classify(c, model, core::Refine::RepScan);
+      const core::ClassifierResult production = core::Classifier(model).run(c);
+      ++runs_;
+      multi_iteration_ += reference.iterations > 1 ? 1 : 0;
+      if (production != reference && mismatches_++ == 0) {
+        std::ostringstream out;
+        out << "model " << static_cast<int>(model) << ": steps " << production.steps;
+        out << " vs reference " << reference.steps << " on " << config::to_text_string(c);
+        first_mismatch_ = out.str();
+      }
+    }
+  }
+
+  /// Asserts zero mismatches over `expected_runs` runs, `min_multi` of them
+  /// taking more than one iteration.
+  void expect_clean(std::uint64_t expected_runs, std::uint64_t min_multi) const {
+    EXPECT_EQ(mismatches_, 0u) << "first mismatch: " << first_mismatch_;
+    EXPECT_EQ(runs_, expected_runs);
+    EXPECT_GE(multi_iteration_, min_multi);
+  }
+
+ private:
+  std::uint64_t runs_ = 0;
+  std::uint64_t multi_iteration_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+TEST(ClassifierReference, ExhaustiveSmallConfigurationsMatchExactly) {
+  // Every labelled connected graph on n <= 5 nodes with every tag vector
+  // over {0, 1, 2}: 3 + 9 + 108 + 3078 + 176904 configurations.
+  ReferenceDifferential differential;
+  const auto check = [&](const config::Configuration& c) { differential.check(c); };
+  std::uint64_t configurations = 0;
+  for (graph::NodeId n = 1; n <= 5; ++n) {
+    configurations += testkit::for_each_configuration(n, 2, check);
+  }
+  EXPECT_EQ(configurations, 180102u);
+  differential.expect_clean(2 * configurations, 30000);
+}
+
+TEST(ClassifierReference, PaperFamiliesMatchExactly) {
+  // G_m elects after m iterations (Proposition 4.1) and S_m stabilizes after
+  // two: the multi-iteration paths of the step charge.
+  ReferenceDifferential differential;
+  std::uint64_t configurations = 0;
+  for (config::Tag m = 1; m <= 40; ++m) {
+    if (m >= 2) {
+      differential.check(config::family_g(m));
+      ++configurations;
+    }
+    differential.check(config::family_h(m));
+    differential.check(config::family_s(m));
+    differential.check(config::staggered_path(m));
+    configurations += 3;
+  }
+  differential.expect_clean(2 * configurations, 150);
+}
+
+TEST(ClassifierReference, RegistryTopologiesMatchExactly) {
+  // 50 configurations of every seeded topology kind, the benchmark shapes
+  // (n = 256 and n = 1024) included; the σ = 1 variants are where
+  // multi-iteration runs come from.
+  const char* const workloads[] = {
+      "random",
+      "random:n=12,p=0.3,sigma=1",
+      "grid",
+      "grid:rows=3,cols=5,sigma=1",
+      "torus",
+      "hypercube",
+      "hypercube:d=4,sigma=1",
+      "tree",
+      "single-hop",
+      "random:n=256,p=0.03,sigma=200",
+      "random:n=1024,p=0.01,sigma=200",
+  };
+  constexpr std::size_t kConfigurations = 50;
+  ReferenceDifferential differential;
+  for (const char* text : workloads) {
+    const engine::CountedSweep sweep = engine::parse_workload(text).instantiate(
+        7, {core::ProtocolSpec::classify_only()}, {.count = kConfigurations});
+    for (engine::JobId id = 0; id < sweep.count; ++id) {
+      differential.check(sweep.source(id).configuration);
+    }
+  }
+  differential.expect_clean(2 * kConfigurations * std::size(workloads), 200);
+}
 
 }  // namespace

@@ -16,38 +16,11 @@
 #include "core/canonical_drip.hpp"
 #include "core/election.hpp"
 #include "core/fast_classifier.hpp"
-#include "graph/enumeration.hpp"
 #include "helpers.hpp"
 
 namespace {
 
 using namespace arl;
-
-/// Applies `body` to every configuration of `n` nodes with tags over
-/// {0..max_tag}; returns how many configurations were visited.
-std::uint64_t for_each_configuration(
-    graph::NodeId n, config::Tag max_tag,
-    const std::function<void(const config::Configuration&)>& body) {
-  std::uint64_t visited = 0;
-  graph::for_each_connected_graph(n, [&](const graph::Graph& g) {
-    std::vector<config::Tag> tags(n, 0);
-    for (;;) {
-      body(config::Configuration(g, tags));
-      ++visited;
-      // Odometer increment over {0..max_tag}^n.
-      graph::NodeId position = 0;
-      while (position < n && tags[position] == max_tag) {
-        tags[position] = 0;
-        ++position;
-      }
-      if (position == n) {
-        break;
-      }
-      ++tags[position];
-    }
-  });
-  return visited;
-}
 
 struct SweepCounts {
   std::uint64_t configurations = 0;
@@ -56,7 +29,7 @@ struct SweepCounts {
 
 SweepCounts full_pipeline_sweep(graph::NodeId n, config::Tag max_tag) {
   SweepCounts counts;
-  for_each_configuration(n, max_tag, [&](const config::Configuration& c) {
+  testkit::for_each_configuration(n, max_tag, [&](const config::Configuration& c) {
     ++counts.configurations;
     const core::ClassifierResult paper = core::Classifier{}.run(c);
     const core::ClassifierResult fast = core::FastClassifier{}.run(c);
@@ -107,7 +80,7 @@ TEST(Exhaustive, N3Lemma39RerefereesEveryPhase) {
   // Simulation-level referee: on every 3-node configuration, the history
   // partition after each phase equals the Classifier partition — tying the
   // combinatorial algorithm to the radio semantics, exhaustively.
-  for_each_configuration(3, 2, [&](const config::Configuration& c) {
+  testkit::for_each_configuration(3, 2, [&](const config::Configuration& c) {
     const core::ClassifierResult classification = core::Classifier{}.run(c);
     const auto schedule = std::make_shared<const core::CanonicalSchedule>(
         core::build_schedule(c, classification));
@@ -130,7 +103,7 @@ TEST(Exhaustive, N5ClassifierEquivalenceBinaryTags) {
   // implementations bit-identical.
   std::uint64_t feasible = 0;
   std::uint64_t total = 0;
-  for_each_configuration(5, 1, [&](const config::Configuration& c) {
+  testkit::for_each_configuration(5, 1, [&](const config::Configuration& c) {
     ++total;
     const core::ClassifierResult paper = core::Classifier{}.run(c);
     const core::ClassifierResult fast = core::FastClassifier{}.run(c);

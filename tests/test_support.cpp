@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <set>
@@ -115,6 +116,49 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+TEST(Rng, BernoulliMatchesRealBelowPDrawForDraw) {
+  // Published sweeps draw their edges through bernoulli, so its integer form
+  // must give the reference's answer on every draw and consume exactly its
+  // draws: none for p <= 0 or p >= 1, one otherwise (NaN included).
+  const auto reference = [](Rng& rng, double p) {
+    return p <= 0.0 ? false : p >= 1.0 ? true : rng.real() < p;
+  };
+  const double probabilities[] = {
+      -1.0,
+      0.0,
+      4.9e-324,
+      0x1.0p-53,
+      1e-300,
+      0.01,
+      0.03,
+      0.5,
+      std::nextafter(1.0, 0.0),
+      1.0,
+      2.0,
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  for (const double p : probabilities) {
+    Rng fast(2024);
+    Rng slow(2024);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(fast.bernoulli(p), reference(slow, p)) << "p=" << p << " draw " << i;
+      // Equal next outputs after every call: the two consumed the same draws.
+      ASSERT_EQ(Rng(fast).next(), Rng(slow).next()) << "p=" << p << " draw " << i;
+    }
+  }
+  // At the boundary: p equal to the next real() is false, the next double
+  // above it true.
+  Rng rng(99);
+  for (int i = 0; i < 2000; ++i) {
+    const double draw = Rng(rng).real();
+    if (draw > 0.0) {
+      EXPECT_FALSE(Rng(rng).bernoulli(draw)) << "draw " << draw;
+    }
+    EXPECT_TRUE(Rng(rng).bernoulli(std::nextafter(draw, 1.0))) << "draw " << draw;
+    (void)rng.next();
   }
 }
 

@@ -232,6 +232,32 @@ TEST(WorkloadInstantiate, JobStreamIsAPureFunctionOfSpecAndSeed) {
   }
 }
 
+TEST(WorkloadInstantiate, PublishedRandomStreamsArePinned) {
+  // sweep_configuration_seed promises that published sweeps stay
+  // reproducible: the first configuration of these random workloads is
+  // pinned by fingerprint, covering the benchmark shapes, p = 1 and p = 0
+  // (which draw no edge coins) and a sample that takes the reconnect loop.
+  const struct {
+    const char* text;
+    std::uint64_t seed;
+    config::Fingerprint fingerprint;
+  } cases[] = {
+      {"random:n=1024,p=0.01,sigma=200", 1, 10888676259659886429ULL},
+      {"random:n=1024,p=0.01,sigma=200", 3, 14954559414572594344ULL},
+      {"random:n=256,p=0.03,sigma=200", 1, 2201473005249003110ULL},
+      {"random:n=256,p=0.03,sigma=200", 3, 16025508529791589545ULL},
+      {"random:n=16,p=1,sigma=3", 1, 5330635736810659525ULL},
+      {"random:n=16,p=0,sigma=3", 1, 9709195299675701109ULL},
+      {"random:n=256,p=0.01,sigma=200", 1, 16410595684443083119ULL},
+  };
+  for (const auto& pinned : cases) {
+    const engine::CountedSweep sweep =
+        instantiate(pinned.text, pinned.seed, {core::ProtocolSpec::classify_only()}, 4);
+    EXPECT_EQ(config::fingerprint(sweep.source(0).configuration), pinned.fingerprint)
+        << pinned.text << " seed " << pinned.seed;
+  }
+}
+
 TEST(WorkloadInstantiate, TopologyWorkloadsBuildTheirDeclaredShapes) {
   const struct {
     const char* text;
