@@ -1,29 +1,15 @@
 #include "config/io.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
 #include "support/assert.hpp"
+#include "support/line_io.hpp"
 #include "support/parse.hpp"
 
 namespace arl::config {
-
-namespace {
-
-/// Reads the next content line (skips blanks and '#' comments).
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 void to_text(const Configuration& configuration, std::ostream& out) {
   const auto& graph = configuration.graph();
@@ -50,21 +36,23 @@ Configuration from_text(std::istream& in) {
   std::string line;
   std::string keyword;
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'nodes' line");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'nodes' line");
   std::istringstream nodes_line(line);
   std::uint64_t n = 0;
   nodes_line >> keyword >> n;
   ARL_EXPECTS(!nodes_line.fail() && keyword == "nodes", "malformed 'nodes' line");
   ARL_EXPECTS(n >= 1 && n <= 0xFFFFFFFFULL, "node count out of range");
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'tags' line");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'tags' line");
   std::vector<Tag> tags;
   {
     support::TokenCursor cursor(line);
     std::string_view token;
     ARL_EXPECTS(cursor.next(token) && token == "tags", "malformed 'tags' line");
     std::vector<Tag> parsed;
-    parsed.reserve(n);
+    // Reserve only for tags the line holds (each takes a separator and a
+    // digit), never for a count the text merely declares.
+    parsed.reserve(std::min<std::uint64_t>(n, line.size() / 2));
     for (std::uint64_t i = 0; i < n; ++i) {
       Tag tag = 0;
       ARL_EXPECTS(cursor.next_number(tag), "too few tags");
@@ -73,16 +61,23 @@ Configuration from_text(std::istream& in) {
     tags = std::move(parsed);
   }
 
-  ARL_EXPECTS(next_content_line(in, line), "missing 'edges' line");
+  ARL_EXPECTS(support::next_content_line(in, line), "missing 'edges' line");
   std::istringstream edges_line(line);
   std::uint64_t m = 0;
   edges_line >> keyword >> m;
   ARL_EXPECTS(!edges_line.fail() && keyword == "edges", "malformed 'edges' line");
+  ARL_EXPECTS(m <= n * (n - 1) / 2, "edge count exceeds n(n-1)/2");
 
+  // Reserve only for edge lines the input holds: each takes at least four
+  // bytes ("u v\n"), so the bytes the stream has buffered bound the count.
+  // A string stream (a store load) holds the whole text, so a valid entry
+  // reserves exactly once; a file or pipe reserves at most what it has
+  // buffered, and the vector grows as further edge lines arrive.
   std::vector<graph::Edge> edges;
-  edges.reserve(m);
+  const std::streamsize buffered = std::max<std::streamsize>(in.rdbuf()->in_avail(), 0);
+  edges.reserve(std::min<std::uint64_t>(m, (static_cast<std::uint64_t>(buffered) + 1) / 4));
   for (std::uint64_t i = 0; i < m; ++i) {
-    ARL_EXPECTS(next_content_line(in, line), "too few edge lines");
+    ARL_EXPECTS(support::next_content_line(in, line), "too few edge lines");
     support::TokenCursor cursor(line);
     std::uint64_t u = 0;
     std::uint64_t v = 0;

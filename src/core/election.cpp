@@ -13,9 +13,7 @@ ElectionReport elect(const config::Configuration& configuration, const ElectionO
                      ElectionScratch& scratch) {
   // The canonical pipeline lives behind the protocol registry now; elect()
   // is the source-compatible entry point for canonical-only callers.
-  const ProtocolSpec spec =
-      options.simulate ? ProtocolSpec::canonical() : ProtocolSpec::classify_only();
-  return run_protocol(configuration, spec, options, scratch);
+  return run_protocol(configuration, ProtocolSpec::canonical(), options, scratch);
 }
 
 }  // namespace arl::core

@@ -64,9 +64,6 @@ struct ElectionOptions {
   /// variant is the weaker-feedback extension).
   radio::ChannelModel channel_model = radio::ChannelModel::CollisionDetection;
 
-  /// Run the canonical DRIP on the simulator (otherwise only classify).
-  bool simulate = true;
-
   /// Simulator settings; max_rounds is raised automatically to cover the
   /// schedule, so the default horizon never truncates a canonical run.
   radio::SimulatorOptions simulator = {};
@@ -165,10 +162,10 @@ struct ElectionScratch {
   ScheduleCacheHandle* schedule_cache = nullptr;
 };
 
-/// Classifies `configuration` and (by default) runs the canonical DRIP on it.
-/// A thin wrapper over run_protocol() with the canonical spec (or the
-/// classify-only spec when `options.simulate` is false) — see
-/// core/protocol.hpp for the full protocol axis.
+/// Classifies `configuration` and runs the canonical DRIP on it.  A thin
+/// wrapper over run_protocol() with the canonical spec — see
+/// core/protocol.hpp for the full protocol axis (ProtocolSpec::classify_only()
+/// classifies without simulating).
 [[nodiscard]] ElectionReport elect(const config::Configuration& configuration,
                                    const ElectionOptions& options = {});
 

@@ -117,8 +117,8 @@ struct ProtocolSpec {
 
 /// Runs `spec` on `configuration` and fills a uniform report:
 ///  - Canonical / ClassifyOnly: today's elect() pipeline (classify, and for
-///    the canonical kind compile + simulate + verify); `options.simulate` is
-///    ignored — the spec kind decides.
+///    the canonical kind compile + simulate + verify) — the spec kind
+///    decides whether to simulate.
 ///  - BinarySearch / TreeSplit / Randomized: the shared baseline harness —
 ///    assign labels from wakeup order (unless `options.simulator.labels`
 ///    overrides them), instantiate the Drip, simulate under a

@@ -8,22 +8,12 @@
 
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/line_io.hpp"
 #include "support/parse.hpp"
 
 namespace arl::core {
 
 namespace {
-
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
 
 void write_label(const Label& label, std::ostream& out) {
   out << ' ' << label.size();
@@ -32,6 +22,7 @@ void write_label(const Label& label, std::ostream& out) {
   }
 }
 
+using support::next_content_line;
 using support::TokenCursor;
 
 /// Reads a label (` <count> <cls round star>*`) from the cursor's position.

@@ -38,9 +38,9 @@ struct BatchJob {
   /// Which protocol to run (see core/protocol.hpp); defaults to canonical.
   core::ProtocolSpec protocol = {};
 
-  /// Election knobs.  `options.simulate` is ignored (the protocol spec
-  /// decides whether to simulate) and `options.simulator.coin_seed` is
-  /// overwritten by the engine from the batch seed.
+  /// Election knobs.  The protocol spec decides whether to simulate, and
+  /// `options.simulator.coin_seed` is overwritten by the engine from the
+  /// batch seed.
   core::ElectionOptions options = {};
 };
 

@@ -38,6 +38,10 @@ namespace arl::serve {
 
 namespace {
 
+/// Per-send bound on a client that stops reading its response stream; a
+/// timed-out send drops that client's connection, never the server.
+constexpr unsigned kSendTimeoutSeconds = 60;
+
 /// What the dispatcher hands back for one executed job.
 struct JobResult {
   std::string report;             ///< serialized shard report ("" on failure)
@@ -562,7 +566,7 @@ struct SweepServer::Impl {
   }
 
   void spawn_session(int fd) {
-    const timeval timeout{static_cast<time_t>(options.send_timeout_seconds), 0};
+    const timeval timeout{static_cast<time_t>(kSendTimeoutSeconds), 0};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     ::fcntl(fd, F_SETFD, FD_CLOEXEC);
     Session* session = nullptr;

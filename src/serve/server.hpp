@@ -83,10 +83,6 @@ struct ServerOptions {
   /// Sweep jobs allowed to *wait* (beyond the one executing); further
   /// submissions are answered with `busy`.  Must be >= 1.
   std::size_t queue_limit = 8;
-
-  /// Per-send bound on a client that stops reading its response stream;
-  /// a timed-out send drops that session, never the server.
-  unsigned send_timeout_seconds = 60;
 };
 
 /// Monotonic counters plus gauges of a running server — the deterministic

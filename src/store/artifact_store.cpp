@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/line_io.hpp"
 #include "support/parse.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -73,17 +74,6 @@ std::string compose_entry(std::uint64_t key, const config::Configuration& config
   return text;
 }
 
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
 /// Parses and fully verifies an entry file's contents against the queried
 /// key.  Throws (support::ContractViolation or std::exception) on any
 /// corruption or mismatch; the caller turns that into a rejected miss.
@@ -114,7 +104,7 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
   std::string keyword;
   std::string value;
   const auto field = [&](const char* name) {
-    ARL_EXPECTS(next_content_line(in, line), "artifact truncated");
+    ARL_EXPECTS(support::next_content_line(in, line), "artifact truncated");
     std::istringstream parse(line);
     parse >> keyword >> value;
     ARL_EXPECTS(!parse.fail() && keyword == name, "malformed artifact header field");

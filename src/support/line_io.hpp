@@ -88,4 +88,11 @@ class LineFramer {
 [[nodiscard]] std::vector<std::string> read_lines(
     std::istream& in, std::size_t max_line_bytes = LineFramer::kDefaultMaxLine);
 
+/// Reads the next content line of a text artifact (config::to_text, the
+/// classification and schedule formats, the artifact store's header) into
+/// `line`, skipping blank lines and '#' comments.  False at end of input.
+/// Reuses `line`'s buffer, so a reader that keeps one string across calls
+/// allocates nothing per line once it has grown.
+bool next_content_line(std::istream& in, std::string& line);
+
 }  // namespace arl::support

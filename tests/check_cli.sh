@@ -18,6 +18,17 @@ fail() {
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
+# The one table filter every comparison below diffs through: it drops the
+# execution circumstances (wall time, throughput, worker count and the
+# trailing phase-timing block, which is all timings) and squeezes
+# whitespace, because column widths align to the widest cell, which may be
+# a dropped row's digits.  An optional second argument, an extended regex,
+# names more lines to drop.
+filter() {
+  sed '/^phase timings:/,$d' "$1" | sed '${/^$/d}' |
+    grep -vE "wall time|per second|worker threads${2:+|$2}" | sed -E 's/ +/ /g; s/-+/-/g'
+}
+
 # Exit-code contract: help and no-args print the reference and exit 0;
 # unknown commands and malformed flag values uniformly exit 2.
 out=$("$cli" 2>&1)
@@ -144,37 +155,26 @@ done
 [ $? -eq 0 ] || fail "a self-counting workload without --count should run and exit 0"
 
 # The legacy flags are aliases: byte-identical tables to the --workload
-# spelling (execution circumstance rows filtered — including the trailing
-# phase-timing block, which is all timings — and whitespace squeezed, as in
-# the shard checks: column widths align to the timing rows' digits).
-alias_filter() {
-  sed '/^phase timings:/,$d' "$1" | sed '${/^$/d}' |
-    grep -vE "wall time|per second|worker threads" | sed -E 's/ +/ /g; s/-+/-/g'
-}
+# spelling (execution circumstance rows filtered).
 "$cli" sweep --count=8 --n=8 --sigma=2 --seed=3 > "$tmpdir/legacy.txt" 2>&1 ||
   fail "legacy random sweep should exit 0"
 "$cli" sweep --count=8 --workload=random:n=8,p=0.3,sigma=2 --seed=3 > "$tmpdir/spec.txt" 2>&1 ||
   fail "workload random sweep should exit 0"
-if ! diff <(alias_filter "$tmpdir/legacy.txt") <(alias_filter "$tmpdir/spec.txt") >/dev/null; then
+if ! diff <(filter "$tmpdir/legacy.txt") <(filter "$tmpdir/spec.txt") >/dev/null; then
   fail "--family=random tables should be byte-identical to --workload=random:..."
 fi
 "$cli" sweep --count=6 --family=staggered > "$tmpdir/legacy-stag.txt" 2>&1 ||
   fail "legacy staggered sweep should exit 0"
 "$cli" sweep --count=6 --workload=staggered > "$tmpdir/spec-stag.txt" 2>&1 ||
   fail "workload staggered sweep should exit 0"
-if ! diff <(alias_filter "$tmpdir/legacy-stag.txt") <(alias_filter "$tmpdir/spec-stag.txt") \
+if ! diff <(filter "$tmpdir/legacy-stag.txt") <(filter "$tmpdir/spec-stag.txt") \
     >/dev/null; then
   fail "--family=staggered tables should be byte-identical to --workload=staggered"
 fi
 
 # A topology workload runs the whole distributed pipeline: shard reports
 # carry its canonical name, and the merge is byte-identical to the
-# unsharded tables (whitespace squeezed as in the sharded checks below,
-# since column widths align to the filtered wall-time row's digits).
-wfilter() {
-  sed '/^phase timings:/,$d' "$1" | sed '${/^$/d}' |
-    grep -vE "wall time|per second|worker threads" | sed -E 's/ +/ /g; s/-+/-/g'
-}
+# unsharded tables.
 wflags="--count=6 --workload=grid:rows=3,cols=3,sigma=2"
 "$cli" sweep $wflags > "$tmpdir/wsingle.txt" 2>&1 ||
   fail "grid workload sweep should exit 0"
@@ -186,7 +186,7 @@ grep -q "sweep .* grid:rows=3,cols=3,sigma=2$" "$tmpdir/w0.txt" ||
   fail "shard report should carry the canonical workload name"
 "$cli" merge "$tmpdir/w0.txt" "$tmpdir/w1.txt" > "$tmpdir/wmerged.txt" 2>&1 ||
   fail "grid workload merge should exit 0"
-if ! diff <(wfilter "$tmpdir/wmerged.txt") <(wfilter "$tmpdir/wsingle.txt") >/dev/null; then
+if ! diff <(filter "$tmpdir/wmerged.txt") <(filter "$tmpdir/wsingle.txt") >/dev/null; then
   fail "merged grid workload shards should print exactly the unsharded tables"
 fi
 
@@ -249,10 +249,10 @@ eflags="--count=8 --n=8 --sigma=2 --seed=5 --protocol=canonical --protocol=rando
 [ $? -le 1 ] || fail "--engine=wavefront sweep should run"
 "$cli" sweep $eflags > "$tmpdir/eauto.txt" 2>&1
 [ $? -le 1 ] || fail "default-engine sweep should run"
-if ! diff <(alias_filter "$tmpdir/escalar.txt") <(alias_filter "$tmpdir/ewave.txt") >/dev/null; then
+if ! diff <(filter "$tmpdir/escalar.txt") <(filter "$tmpdir/ewave.txt") >/dev/null; then
   fail "--engine=scalar and --engine=wavefront tables should be byte-identical"
 fi
-if ! diff <(alias_filter "$tmpdir/ewave.txt") <(alias_filter "$tmpdir/eauto.txt") >/dev/null; then
+if ! diff <(filter "$tmpdir/ewave.txt") <(filter "$tmpdir/eauto.txt") >/dev/null; then
   fail "default engine tables should match --engine=wavefront"
 fi
 
@@ -281,14 +281,8 @@ for value in 0 257 bogus; do
 done
 
 # Shard emission + merge reassembles the exact unsharded report (wall time,
-# worker count and throughput are execution circumstances, filtered out;
-# whitespace is squeezed because column widths align to the widest cell,
-# which may be a filtered row's wall-time digits).
+# worker count and throughput are execution circumstances, filtered out).
 sweep_flags="--count=12 --n=8 --protocol=canonical --protocol=classify"
-filter() {
-  sed '/^phase timings:/,$d' "$1" | sed '${/^$/d}' |
-    grep -vE "wall time|per second|worker threads" | sed -E 's/ +/ /g; s/-+/-/g'
-}
 "$cli" sweep $sweep_flags > "$tmpdir/single.txt" 2>&1 ||
   fail "unsharded reference sweep should exit 0"
 "$cli" sweep $sweep_flags --shard=0/2 --out="$tmpdir/s0.txt" >/dev/null 2>&1 ||
@@ -352,12 +346,9 @@ head -5 "$tmpdir/s0.txt" > "$tmpdir/truncated.txt"
 # A store-backed sweep prints the artifact store stats line, persists
 # entries, and a second (cold-process) run preloads them: zero saves, and
 # tables byte-identical to the storeless run.  (Cache/store stats lines are
-# execution circumstances, filtered like the timing rows.)
-store_filter() {
-  sed '/^phase timings:/,$d' "$1" | sed '${/^$/d}' |
-    grep -vE "wall time|per second|worker threads|schedule cache:|artifact store:" |
-    grep -v '^$' | sed -E 's/ +/ /g; s/-+/-/g'
-}
+# execution circumstances, filtered like the timing rows, and so are the
+# blank lines around them.)
+store_lines='schedule cache:|artifact store:|^$'
 store_flags="--count=6 --n=8 --sigma=2 --seed=11 --protocol=canonical --protocol=classify"
 "$cli" sweep $store_flags > "$tmpdir/nostore.txt" 2>&1 ||
   fail "storeless reference sweep should exit 0"
@@ -378,7 +369,8 @@ case "$out" in
   *) fail "a warm store-backed sweep should save nothing: $out" ;;
 esac
 echo "$out" > "$tmpdir/warmstore.txt"
-if ! diff <(store_filter "$tmpdir/warmstore.txt") <(store_filter "$tmpdir/nostore.txt") >/dev/null
+if ! diff <(filter "$tmpdir/warmstore.txt" "$store_lines") \
+    <(filter "$tmpdir/nostore.txt" "$store_lines") >/dev/null
 then
   fail "store-backed sweep tables should be byte-identical to the storeless run"
 fi
@@ -390,7 +382,8 @@ done
 out=$("$cli" sweep $store_flags --store="$tmpdir/store" 2>&1)
 [ $? -eq 0 ] || fail "sweep over a corrupted store should still exit 0"
 echo "$out" > "$tmpdir/corruptstore.txt"
-if ! diff <(store_filter "$tmpdir/corruptstore.txt") <(store_filter "$tmpdir/nostore.txt") \
+if ! diff <(filter "$tmpdir/corruptstore.txt" "$store_lines") \
+    <(filter "$tmpdir/nostore.txt" "$store_lines") \
     >/dev/null; then
   fail "sweep over a corrupted store should still print the storeless tables"
 fi
@@ -521,7 +514,7 @@ fault_ref_flags="--count=8 --n=8 --sigma=2 --seed=9 --protocol=canonical"
   fail "fault-free reference sweep should exit 0"
 "$cli" sweep $fault_ref_flags --fault=none > "$tmpdir/fault-none-b.txt" 2>&1 ||
   fail "--fault=none sweep should exit 0"
-if ! diff <(alias_filter "$tmpdir/fault-none-a.txt") <(alias_filter "$tmpdir/fault-none-b.txt") \
+if ! diff <(filter "$tmpdir/fault-none-a.txt") <(filter "$tmpdir/fault-none-b.txt") \
     >/dev/null; then
   fail "--fault=none tables should be byte-identical to the flagless sweep"
 fi
@@ -536,7 +529,7 @@ grep -q "^fault: drop:0.1" "$tmpdir/fault-single.txt" ||
   fail "a faulted sweep should print the fault summary line"
 "$cli" sweep $fault_flags --threads=2 > "$tmpdir/fault-t2.txt" 2>&1
 [ $? -le 1 ] || fail "faulted sweep at --threads=2 should run"
-if ! diff <(alias_filter "$tmpdir/fault-single.txt") <(alias_filter "$tmpdir/fault-t2.txt") \
+if ! diff <(filter "$tmpdir/fault-single.txt") <(filter "$tmpdir/fault-t2.txt") \
     >/dev/null; then
   fail "faulted sweep tables should be thread-count invariant"
 fi
@@ -548,7 +541,7 @@ grep -q "^fault drop:0.1$" "$tmpdir/f0.txt" ||
   fail "faulted shard reports should carry the canonical fault line"
 "$cli" merge "$tmpdir/f0.txt" "$tmpdir/f1.txt" > "$tmpdir/fault-merged.txt" 2>&1
 [ $? -le 1 ] || fail "merge of faulted shards should run"
-if ! diff <(alias_filter "$tmpdir/fault-merged.txt") <(alias_filter "$tmpdir/fault-single.txt") \
+if ! diff <(filter "$tmpdir/fault-merged.txt") <(filter "$tmpdir/fault-single.txt") \
     >/dev/null; then
   fail "merged faulted shards should print exactly the unsharded tables"
 fi
@@ -612,6 +605,143 @@ for key in '"job"' '"protocol"' '"config"' '"disposition"' '"simulate_ns"' \
   head -1 "$tmpdir/trace.jsonl" | grep -q "$key:" ||
     fail "trace lines should carry $key: $(head -1 "$tmpdir/trace.jsonl")"
 done
+
+# ------------------------------------------------------ configuration tools
+
+# gen's integer flags and every --p read the workload registry's grammar and
+# bounds: a value the registry would reject exits 2, instead of wrapping in
+# a 32-bit cast or parsing as a hex float, and a sweep never writes a shard
+# report that `arl merge` would refuse.
+for flags in "--family=staggered --n=4294967299" "--family=random --sigma=4294967297" \
+             "--family=single-hop --n=0" "--family=staggered --n=1000001" "--family=h --m=0" \
+             "--family=random --p=-0" "--family=random --p=0x1p-2" "--family=random --p=1.5"; do
+  "$cli" gen $flags >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "gen $flags should exit 2"
+done
+for value in -0 0x1p-2 1.5 abc ""; do
+  rm -f "$tmpdir/p.txt"
+  "$cli" sweep --n=6 --count=2 "--p=$value" --shard=0/1 --out="$tmpdir/p.txt" >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "sweep --p='$value' should exit 2"
+  [ ! -e "$tmpdir/p.txt" ] || fail "sweep --p='$value' must not write a shard report"
+done
+# Only the families that read --n range-check it, but a malformed --m or
+# --n is a usage error in every family.
+"$cli" gen --family=h --n=0 >/dev/null 2>&1 || fail "gen --family=h should not range-check --n"
+for flags in "--family=h --n=bogus" "--family=random --m=-1"; do
+  "$cli" gen $flags >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "gen $flags should exit 2"
+done
+
+# The published G(n,p) stream is pinned: the same flags print the same
+# configuration, byte for byte.
+expected_gen='nodes 10
+tags 1 2 1 3 2 1 0 1 3 3
+edges 12
+0 3
+0 7
+1 2
+1 8
+1 9
+2 3
+2 9
+3 8
+4 5
+4 8
+5 9
+6 8'
+[ "$("$cli" gen --family=random --n=10 --seed=3)" = "$expected_gen" ] ||
+  fail "gen --family=random --n=10 --seed=3 changed its output"
+
+# Every configuration command on a feasible (H_3) and an infeasible (S_2)
+# configuration: the exit code and the lines a script keys on.  classify and
+# orbits exit 1 on an infeasible configuration; elect, trace, schedule, dot
+# and validate report it and exit 0.
+"$cli" gen --family=h --m=3 > "$tmpdir/h3.txt" || fail "gen --family=h --m=3 should exit 0"
+"$cli" gen --family=s --m=2 > "$tmpdir/s2.txt" || fail "gen --family=s --m=2 should exit 0"
+expect() {  # expect EXIT LINE-REGEX COMMAND ARGS...
+  local code=$1 line=$2
+  shift 2
+  out=$("$cli" "$@" 2>&1)
+  status=$?
+  [ "$status" -eq "$code" ] || fail "arl $*: expected exit $code, got $status: $out"
+  printf '%s\n' "$out" | grep -qE -- "$line" || fail "arl $* should print /$line/: $out"
+}
+expect 0 '^verdict: +feasible$' classify "$tmpdir/h3.txt"
+expect 0 '^leader: +node 0 \(class 1\)$' classify --fast "$tmpdir/h3.txt"
+expect 1 '^verdict: +infeasible$' classify "$tmpdir/s2.txt"
+expect 0 '^disposition: +elected$' elect "$tmpdir/h3.txt"
+expect 0 '^verified: +ok$' elect --model=nocd "$tmpdir/h3.txt"
+expect 0 '^disposition: +no leader$' elect "$tmpdir/s2.txt"
+expect 0 '^leader: node 0$' trace "$tmpdir/h3.txt"
+expect 0 '^no unique leader$' trace "$tmpdir/s2.txt"
+expect 0 '^feasible 1$' schedule "$tmpdir/h3.txt"
+expect 0 '^feasible 0$' schedule "$tmpdir/s2.txt"
+expect 0 '^  n0 -- n1;$' dot "$tmpdir/h3.txt"
+expect 0 '^  n3 \[label="3:2"\];$' dot "$tmpdir/s2.txt"
+expect 0 '^feasible: 4 orbit\(s\)' orbits "$tmpdir/h3.txt"
+expect 1 '^infeasible: 2 orbit\(s\)' orbits "$tmpdir/s2.txt"
+expect 0 '^execution valid \([0-9]+ checks\)$' validate "$tmpdir/h3.txt"
+expect 0 '^execution valid \([0-9]+ checks\)$' validate "$tmpdir/s2.txt"
+expect 2 'cannot open' classify "$tmpdir/missing.txt"
+expect 2 'model' elect --model=bogus "$tmpdir/h3.txt"
+# Without a file argument the configuration is read from stdin.
+"$cli" elect < "$tmpdir/h3.txt" | grep -qE '^verified: +ok$' ||
+  fail "elect should read its configuration from stdin"
+# Malformed configurations are usage errors (exit 2), including counts the
+# text declares but does not hold.
+for text in 'nodes 4\ntags 0 1 2 3\nedges -1\n' 'nodes 4\ntags 0 1 2 3\nedges 99999999999\n' \
+            'nodes 4294967295\ntags 0 1\nedges 0\n' 'nodes 2\ntags 0\nedges 0\n'; do
+  printf "$text" | "$cli" elect >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "elect on '$text' should exit 2"
+done
+
+# ---------------------------------------------------------------- interrupts
+
+# SIGINT during `sweep --shard --out` exits 130 and leaves neither the
+# report nor its temp file.  The signal goes out once the temp file exists
+# (the handler is installed before it is opened); the sweep runs for
+# seconds, so it cannot finish first.
+interrupt_flags="--count=40000 --n=128"
+"$cli" sweep $interrupt_flags --shard=0/1 --out="$tmpdir/int.txt" >/dev/null 2>&1 &
+pid=$!
+for _ in $(seq 1 1000); do
+  compgen -G "$tmpdir/int.txt.tmp.*" >/dev/null && break
+  sleep 0.01
+done
+kill -INT "$pid"
+wait "$pid"
+status=$?
+[ "$status" -eq 130 ] || fail "SIGINT during sweep --shard --out: expected exit 130, got $status"
+[ ! -e "$tmpdir/int.txt" ] || fail "an interrupted sweep --shard must not leave its --out file"
+if compgen -G "$tmpdir/int.txt.tmp.*" >/dev/null; then
+  fail "an interrupted sweep --shard must remove its temp file"
+fi
+
+# SIGINT during `sweep --workers` exits 130, and the parent terminates and
+# reaps every worker and removes their temp directory.  The signal goes out
+# once both workers have opened their shard files (the parent's handler is
+# installed before the first fork).
+mkdir "$tmpdir/workers-tmp"
+TMPDIR="$tmpdir/workers-tmp" "$cli" sweep $interrupt_flags --workers=2 >/dev/null 2>&1 &
+pid=$!
+for _ in $(seq 1 1000); do
+  [ "$(compgen -G "$tmpdir/workers-tmp/arl-workers-*/shard-*.txt" | wc -l)" -eq 2 ] && break
+  sleep 0.01
+done
+workers=$(pgrep -P "$pid")
+kill -INT "$pid"
+wait "$pid"
+status=$?
+[ "$status" -eq 130 ] || fail "SIGINT during sweep --workers: expected exit 130, got $status"
+[ "$(echo $workers | wc -w)" -eq 2 ] || fail "the sweep should have run 2 workers: '$workers'"
+for worker in $workers; do
+  if kill -0 "$worker" 2>/dev/null; then
+    fail "an interrupted sweep --workers left worker $worker running"
+  fi
+done
+if compgen -G "$tmpdir/workers-tmp/arl-workers-*" >/dev/null; then
+  fail "an interrupted sweep --workers must remove its temp directory"
+fi
 
 if [ "$failures" -gt 0 ]; then
   exit 1

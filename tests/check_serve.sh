@@ -37,6 +37,10 @@ socket="$tmpdir/arl.sock"
 [ $? -eq 2 ] || fail "submit without --socket should exit 2"
 "$cli" submit --socket="$socket" --ping >/dev/null 2>&1
 [ $? -eq 1 ] || fail "submit to a missing server should exit 1"
+# Every submit flag is checked before connecting: a bad value is a usage
+# error whether or not a server is reachable.
+"$cli" submit --socket="$socket" --workload=bogus >/dev/null 2>&1
+[ $? -eq 2 ] || fail "submit --workload=bogus should exit 2 without a server"
 
 # Start the daemon and wait for its socket to appear.
 "$cli" serve --socket="$socket" --queue=8 2>"$tmpdir/serve.log" &
@@ -54,10 +58,27 @@ case "$out" in
   *) fail "ping should answer pong: $out" ;;
 esac
 
-# Flag validation that needs a live connection (submit connects first):
-# a numeric cache capacity is a server-side knob, a usage error here.
+# Flag validation against a live server: a numeric cache capacity is a
+# server-side knob, a usage error here.
 "$cli" submit --socket="$socket" --cache=64 >/dev/null 2>&1
 [ $? -eq 2 ] || fail "submit --cache=<N> (a server-side knob) should exit 2"
+
+# A bad --out is refused before the server runs anything: both exit 2, and
+# the server's accepted count does not move.
+accepted() {
+  "$cli" stats --socket="$socket" | sed -n 's/^requests: \([0-9]*\) accepted.*/\1/p'
+}
+accepted_before=$(accepted)
+"$cli" submit --socket="$socket" --count=300 --n=64 --sigma=8 --out= >/dev/null 2>&1
+[ $? -eq 2 ] || fail "submit --out= should exit 2"
+"$cli" submit --socket="$socket" --count=300 --n=64 --sigma=8 \
+  --out="$tmpdir/nonexistent/d/f" >/dev/null 2>"$tmpdir/bad-out.log"
+[ $? -eq 2 ] || fail "submit --out=<unwritable path> should exit 2"
+grep -q "cannot open $tmpdir/nonexistent/d/f for writing" "$tmpdir/bad-out.log" ||
+  fail "the --out error should name the --out path: $(cat "$tmpdir/bad-out.log")"
+accepted_after=$(accepted)
+[ -n "$accepted_before" ] && [ "$accepted_after" = "$accepted_before" ] ||
+  fail "a refused --out must not reach the server (accepted $accepted_before -> $accepted_after)"
 
 # The path is taken: a second daemon must refuse to start, and must not
 # disturb the first one's socket.

@@ -12,6 +12,7 @@
 #include "core/canonical_drip.hpp"
 #include "core/classifier.hpp"
 #include "core/election.hpp"
+#include "core/protocol.hpp"
 #include "core/schedule.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
@@ -265,9 +266,8 @@ TEST(Elect, FastClassifierPathGivesTheSameOutcome) {
 }
 
 TEST(Elect, ClassifyOnlySkipsSimulation) {
-  core::ElectionOptions options;
-  options.simulate = false;
-  const core::ElectionReport report = core::elect(config::family_h(2), options);
+  const core::ElectionReport report =
+      core::run_protocol(config::family_h(2), core::ProtocolSpec::classify_only());
   EXPECT_TRUE(report.feasible);
   EXPECT_FALSE(report.simulated);
   EXPECT_FALSE(report.leader.has_value());

@@ -167,6 +167,27 @@ TEST(Io, ParserRejectsMalformedInput) {
                ContractViolation);
 }
 
+// Declared counts beyond what the text holds are malformed input, not a
+// memory request: no reserve is sized from them.
+TEST(Io, ParserRejectsImpossibleCounts) {
+  EXPECT_THROW(config::from_text_string("nodes 4\ntags 0 1 2 3\nedges -1\n"),
+               ContractViolation);
+  EXPECT_THROW(config::from_text_string("nodes 4\ntags 0 1 2 3\nedges 99999999999\n"),
+               ContractViolation);
+  EXPECT_THROW(config::from_text_string("nodes 4294967295\ntags 0 1\nedges 0\n"),
+               ContractViolation);
+  // n(n-1)/2 edges is the most a simple graph has: K4 parses, a seventh edge does not.
+  const std::string k4 = "nodes 4\ntags 0 1 2 3\nedges 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n";
+  EXPECT_EQ(config::from_text_string(k4).graph().edge_count(), 6u);
+  try {
+    (void)config::from_text_string("nodes 4\ntags 0 1 2 3\nedges 7\n");
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& error) {
+    // Refused at the header, before any edge line is read.
+    EXPECT_NE(std::string(error.what()).find("n(n-1)/2"), std::string::npos) << error.what();
+  }
+}
+
 TEST(Io, DotContainsNodesAndEdges) {
   std::ostringstream out;
   config::to_dot(config::family_h(2), out);

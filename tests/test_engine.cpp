@@ -90,7 +90,6 @@ TEST(BatchRunner, ParallelSweepMatchesSerialElectLoop) {
   // The reference path: plain serial elect() with the engine's seeding rule.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     core::ElectionOptions options = jobs[i].options;
-    options.simulate = true;
     options.simulator.coin_seed = engine::job_coin_seed(kSeed, i);
     const core::ElectionReport serial = core::elect(jobs[i].configuration, options);
     expect_reports_identical(batch.reports[i], serial);

@@ -35,6 +35,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -92,10 +93,12 @@ usage: arl <command> [flags] [config-file]
 commands:
   gen        generate a configuration
                --family=h|g|s|staggered|single-hop|random  (default h)
-               --m=N          family parameter             (default 3)
-               --n=N          node count for staggered/single-hop/random
-               --sigma=N      span for random              (default 3)
-               --p=X          edge probability for random  (default 0.3)
+               --m=N          family parameter, in [1, 1000000] (default 3)
+               --n=N          node count for staggered/single-hop/random,
+                              in [1, 1000000]              (default 8)
+               --sigma=N      span for random, in [0, 1000000] (default 3)
+               --p=X          edge probability for random, a decimal in
+                              [0, 1]                       (default 0.3)
                --seed=N       RNG seed for random          (default 1)
   classify   decide feasibility; print verdict, iterations, partition
                --model=cd|nocd   channel feedback          (default cd)
@@ -224,7 +227,9 @@ commands:
                                  diagnostic instead of blocking on a wedged
                                  server
                --out=FILE        write the raw shard report to FILE instead
-                                 of printing tables
+                                 of printing tables (checked before
+                                 connecting; written atomically, so an
+                                 interrupt leaves no partial FILE)
   stats      query a running service for live statistics: uptime, queue
              depth, in-flight work, open sessions, request counters,
              cache/store totals, queue-wait and dispatch latency
@@ -246,12 +251,10 @@ exit codes: 0 success, 1 runtime failure, 2 usage error.
 )";
 }
 
-config::Configuration read_configuration(const support::Args& args, std::size_t index) {
-  if (args.positional().size() > index) {
-    std::ifstream file(args.positional()[index]);
-    if (!file) {
-      throw support::ContractViolation("cannot open " + args.positional()[index]);
-    }
+config::Configuration read_configuration(const support::Args& args) {
+  if (args.positional().size() > 1) {
+    std::ifstream file(args.positional()[1]);
+    support::require(file.is_open(), "cannot open " + args.positional()[1]);
     return config::from_text(file);
   }
   return config::from_text(std::cin);
@@ -263,10 +266,11 @@ config::Configuration read_configuration(const support::Args& args, std::size_t 
 //
 // Three commands own cleanup obligations a Ctrl-C must not skip: `sweep
 // --workers` (forked children to terminate and temp shard files to remove),
-// `sweep --shard --out` (a half-written report file that must never appear
-// under the final name) and `serve` (a graceful drain).  Handlers are
-// installed without SA_RESTART so blocking syscalls return EINTR, and every
-// handler body is async-signal-safe (flag writes, unlink, write, _exit).
+// a report file written by `sweep --shard --out` or `submit --out` (a
+// half-written file that must never appear under the final name, see
+// ReportFile) and `serve` (a graceful drain).  Handlers are installed
+// without SA_RESTART so blocking syscalls return EINTR, and every handler
+// body is async-signal-safe (flag writes, unlink, write, _exit).
 
 /// Set by the --workers parent's handler; the waitpid loop turns it into
 /// SIGTERM for the children plus temp-file cleanup.
@@ -274,15 +278,11 @@ volatile std::sig_atomic_t g_interrupted = 0;
 
 void flag_interrupt(int) { g_interrupted = 1; }
 
-/// The temp path a `--shard --out` run is writing; the handler unlinks it
-/// and exits so an interrupt can never leave a truncated file behind
-/// (the final name only ever appears via rename of a complete report).
-char g_shard_tmp_path[4096] = {0};
+/// The temp file a ReportFile is writing, which the handler removes.
+char g_report_tmp_path[4096] = {0};
 
-void shard_interrupt(int) {
-  if (g_shard_tmp_path[0] != '\0') {
-    ::unlink(g_shard_tmp_path);
-  }
+void report_interrupt(int) {
+  ::unlink(g_report_tmp_path);  // set before the handler is installed
   ::_exit(130);
 }
 
@@ -321,7 +321,161 @@ class ScopedSignalHandlers {
   struct sigaction old_term_ {};
 };
 
+/// The private temp directory the --workers children write their shard
+/// reports into, removed with those files when the parent is done however
+/// it is done.  mkdtemp makes it 0700, so no other local user can swap a
+/// shard file for a symlink between the worker's write and the parent's
+/// read-back.
+struct ShardDir {
+  explicit ShardDir(std::uint32_t workers) {
+    const char* tmpdir = std::getenv("TMPDIR");
+    path = std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp") +
+           "/arl-workers-XXXXXX";
+    if (::mkdtemp(path.data()) == nullptr) {
+      // Environment failure, not misuse: std::runtime_error exits 1.
+      throw std::runtime_error("cannot create a temp directory for shard reports");
+    }
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      files.push_back(path + "/shard-" + std::to_string(w) + ".txt");
+    }
+  }
+  ~ShardDir() {
+    for (const std::string& file : files) {
+      ::unlink(file.c_str());
+    }
+    ::rmdir(path.c_str());
+  }
+  ShardDir(const ShardDir&) = delete;
+  ShardDir& operator=(const ShardDir&) = delete;
+
+  std::string path;
+  std::vector<std::string> files;  ///< one shard report per worker
+};
+
 #endif  // ARL_CLI_HAS_FORK
+
+/// Where a shard report goes: stdout, or the --out file of `sweep --shard`
+/// and `submit`.  The file is opened before any work runs, so a bad path
+/// exits 2 before a sweep or a server spends anything on it.  It is written
+/// as `<out>.tmp.<pid>`, which commit() renames onto `<out>` once complete;
+/// until then a SIGINT/SIGTERM handler unlinks it and exits 130, and an
+/// uncommitted ReportFile removes it.  So the final name only ever holds a
+/// complete report, never a truncated file a later `arl merge` must reject.
+/// (Without fork() there is no such handler or rename-over: the file is
+/// written in place, and removed when the report fails.)
+class ReportFile {
+ public:
+  /// `path` empty means stdout.
+  explicit ReportFile(std::string path) : path_(std::move(path)) {
+    if (path_.empty()) {
+      return;
+    }
+#if ARL_CLI_HAS_FORK
+    tmp_path_ = path_ + ".tmp." + std::to_string(::getpid());
+    support::require(tmp_path_.size() < sizeof(g_report_tmp_path), "--out path is too long");
+    std::snprintf(g_report_tmp_path, sizeof(g_report_tmp_path), "%s", tmp_path_.c_str());
+    guard_.emplace(report_interrupt);
+#else
+    tmp_path_ = path_;
+#endif
+    file_.open(tmp_path_);
+    support::require(file_.is_open(), "cannot open " + path_ + " for writing");
+  }
+  ~ReportFile() {
+    if (!tmp_path_.empty()) {  // not committed
+      file_.close();
+      std::remove(tmp_path_.c_str());
+    }
+  }
+  ReportFile(const ReportFile&) = delete;
+  ReportFile& operator=(const ReportFile&) = delete;
+
+  [[nodiscard]] std::ostream& stream() { return path_.empty() ? std::cout : file_; }
+
+  /// Flushes the report and moves a file into place.  A lost or truncated
+  /// report must not exit as if it were emitted: std::runtime_error (exit
+  /// 1 — an environment failure such as a full disk, not misuse).
+  void commit() {
+    if (path_.empty()) {
+      if (!std::cout.flush()) {
+        throw std::runtime_error("writing the shard report to stdout failed");
+      }
+      return;
+    }
+    file_.close();
+    if (!file_) {
+      throw std::runtime_error("writing " + path_ + " failed");
+    }
+#if ARL_CLI_HAS_FORK
+    if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
+      throw std::runtime_error("renaming " + tmp_path_ + " to " + path_ + " failed");
+    }
+#endif
+    tmp_path_.clear();
+  }
+
+ private:
+  std::string path_;
+  std::string tmp_path_;  ///< the file being written; empty once committed
+  std::ofstream file_;
+#if ARL_CLI_HAS_FORK
+  std::optional<ScopedSignalHandlers> guard_;
+#endif
+};
+
+// ---- flags --------------------------------------------------------------
+//
+// One flag reads, and fails, the same way in every command.  A usage error
+// throws support::ContractViolation, which main() prints and exits 2 on.
+
+/// The value of --NAME (`fallback` when absent): digits only
+/// (Args::get_int) and in [min, max]; anything else is a usage error
+/// "--NAME must be in [MIN, MAX]NOTE".
+std::int64_t int_flag(const support::Args& args, const std::string& name, std::int64_t fallback,
+                      std::int64_t min, std::int64_t max, const std::string& note = "") {
+  const std::int64_t value = args.get_int(name, fallback);
+  support::require(value >= min && value <= max, "--" + name + " must be in [" +
+                                                      std::to_string(min) + ", " +
+                                                      std::to_string(max) + "]" + note);
+  return value;
+}
+
+/// The value of a --NAME=PATH flag, or "" when absent.  An empty value is
+/// a mangled flag (e.g. an unset shell variable), not a request for the
+/// default: a usage error "--NAME needs a WHAT".
+std::string path_flag(const support::Args& args, const std::string& name,
+                      const std::string& what) {
+  const std::string value = args.get_string(name, "");
+  support::require(!args.has(name) || !value.empty(), "--" + name + " needs a " + what);
+  return value;
+}
+
+/// The --socket every service command requires; `what` says which socket.
+std::string socket_flag(const support::Args& args, const std::string& what) {
+  const std::string value = args.get_string("socket", "");
+  support::require(!value.empty(),
+                   args.positional().front() + " needs --socket=PATH (" + what + ")");
+  return value;
+}
+
+/// The --timeout of the service clients, in seconds (0 = wait forever).
+unsigned timeout_flag(const support::Args& args) {
+  return static_cast<unsigned>(
+      int_flag(args, "timeout", 0, 0, 86400, " seconds (0 = wait forever)"));
+}
+
+/// The --p edge probability of the random family (default 0.3), in the
+/// grammar a `--workload=random:p=X` spec uses (support::parse_probability:
+/// no sign, hex float or inf/nan), so every value a sweep writes into a
+/// shard report parses back.
+double probability_flag(const support::Args& args) {
+  if (!args.has("p")) {
+    return 0.3;
+  }
+  const double p = support::parse_probability(args.get_string("p", ""), "--p");
+  support::require(p <= 1.0, "--p must be in [0, 1]");
+  return p;
+}
 
 radio::ChannelModel parse_model(const support::Args& args) {
   const std::string model = args.get_string("model", "cd");
@@ -347,38 +501,41 @@ std::uint64_t seed_flag(const support::Args& args) {
 
 int cmd_gen(const support::Args& args) {
   const std::string family = args.get_string("family", "h");
-  const auto m = static_cast<config::Tag>(args.get_int("m", 3));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 8));
+  // A malformed --m or --n exits 2 in every family; a family that reads one
+  // range-checks it with the registry's bounds before any narrowing cast.
+  static_cast<void>(args.get_int("m", 0));
+  static_cast<void>(args.get_int("n", 0));
+  const auto m = [&]() { return static_cast<config::Tag>(int_flag(args, "m", 3, 1, 1'000'000)); };
+  const auto n = [&]() { return static_cast<graph::NodeId>(int_flag(args, "n", 8, 1, 1'000'000)); };
+  std::optional<config::Configuration> generated;
   if (family == "h") {
-    config::to_text(config::family_h(m), std::cout);
+    generated = config::family_h(m());
   } else if (family == "g") {
-    config::to_text(config::family_g(m), std::cout);
+    generated = config::family_g(m());
   } else if (family == "s") {
-    config::to_text(config::family_s(m), std::cout);
+    generated = config::family_s(m());
   } else if (family == "staggered") {
-    config::to_text(config::staggered_path(n), std::cout);
+    generated = config::staggered_path(n());
   } else if (family == "single-hop") {
-    std::vector<config::Tag> tags(n);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      tags[v] = v;
-    }
-    config::to_text(config::single_hop(tags), std::cout);
+    std::vector<config::Tag> tags(n());
+    std::iota(tags.begin(), tags.end(), config::Tag{0});
+    generated = config::single_hop(tags);
   } else if (family == "random") {
+    const graph::NodeId nodes = n();
     support::Rng rng(seed_flag(args));
-    const auto sigma = static_cast<config::Tag>(args.get_int("sigma", 3));
-    const double p = args.get_double("p", 0.3);
-    config::to_text(
-        config::random_tags_with_span(graph::gnp_connected(n, p, rng), sigma, rng),
-        std::cout);
+    const auto sigma = static_cast<config::Tag>(int_flag(args, "sigma", 3, 0, 1'000'000));
+    const double p = probability_flag(args);
+    generated = config::random_tags_with_span(graph::gnp_connected(nodes, p, rng), sigma, rng);
   } else {
     std::cerr << "unknown family '" << family << "'\n";
     return 2;
   }
+  config::to_text(*generated, std::cout);
   return 0;
 }
 
 int cmd_classify(const support::Args& args) {
-  const config::Configuration c = read_configuration(args, 1);
+  const config::Configuration c = read_configuration(args);
   const radio::ChannelModel model = parse_model(args);
   const core::ClassifierResult result = args.has("fast")
                                             ? core::FastClassifier(model).run(c)
@@ -400,7 +557,7 @@ int cmd_classify(const support::Args& args) {
 }
 
 int cmd_elect(const support::Args& args) {
-  const config::Configuration c = read_configuration(args, 1);
+  const config::Configuration c = read_configuration(args);
   core::ElectionOptions options;
   options.channel_model = parse_model(args);
   const core::ElectionReport report = core::elect(c, options);
@@ -446,23 +603,13 @@ std::size_t parse_cache_capacity(const support::Args& args) {
 /// contradiction, not a preference.  Throws support::ContractViolation
 /// (exit 2) on misuse.
 std::string parse_store_directory(const support::Args& args) {
-  if (!args.has("store")) {
-    return "";
-  }
-  const std::string value = args.get_string("store", "");
-  if (value.empty()) {
-    throw support::ContractViolation("--store needs a directory path");
-  }
-  if (value == "off") {
-    // `submit` spells per-request opt-out as --store=off; for sweep/serve
-    // the flag's absence is off, and "off" would name a directory.
-    throw support::ContractViolation(
-        "--store takes a directory here (omit the flag to run without a store)");
-  }
-  if (args.has("cache") && parse_cache_capacity(args) == 0) {
-    throw support::ContractViolation(
-        "--store conflicts with --cache=off (the store is the cache's disk tier)");
-  }
+  const std::string value = path_flag(args, "store", "directory path");
+  // `submit` spells per-request opt-out as --store=off; for sweep/serve the
+  // flag's absence is off, and "off" would name a directory.
+  support::require(value != "off",
+                   "--store takes a directory here (omit the flag to run without a store)");
+  support::require(value.empty() || !args.has("cache") || parse_cache_capacity(args) != 0,
+                   "--store conflicts with --cache=off (the store is the cache's disk tier)");
   return value;
 }
 
@@ -482,21 +629,6 @@ engine::EngineMode parse_engine(const support::Args& args) {
   throw support::ContractViolation("--engine must be auto, scalar or wavefront");
 }
 
-/// Folds the --model/--fast execution flags into a legacy-alias workload
-/// spec — they are workload identity (sweeps classifying under different
-/// channel feedback must not merge), which is why the --workload spelling
-/// carries them inside the spec instead of beside it.
-engine::WorkloadSpec apply_execution_flags(engine::WorkloadSpec spec,
-                                           const support::Args& args) {
-  if (args.has("model")) {
-    spec.model = parse_model(args);
-  }
-  if (args.has("fast")) {
-    spec.fast = true;
-  }
-  return spec;
-}
-
 /// The workload the sweep flags describe: --workload=SPEC picks any registry
 /// workload; the legacy --family/--n/--sigma/--p flags are parsed aliases
 /// that construct the same spec (byte-identical sweeps either way), and
@@ -509,12 +641,9 @@ engine::WorkloadSpec sweep_workload(const support::Args& args) {
     // spec's own key (model/fast) or duplicate it (family/n/sigma/p), so
     // both combinations are contradictions, not preferences.
     for (const char* flag : {"family", "n", "sigma", "p", "model", "fast"}) {
-      if (args.has(flag)) {
-        throw support::ContractViolation(
-            std::string("--workload conflicts with --") + flag +
-            "; put the parameter inside the spec instead (e.g. "
-            "--workload=random:n=8,model=nocd)");
-      }
+      support::require(!args.has(flag), std::string("--workload conflicts with --") + flag +
+                                            "; put the parameter inside the spec instead (e.g. "
+                                            "--workload=random:n=8,model=nocd)");
     }
     return engine::parse_workload(args.get_string("workload", ""));
   }
@@ -522,19 +651,9 @@ engine::WorkloadSpec sweep_workload(const support::Args& args) {
   const std::string family = args.get_string("family", "random");
   engine::WorkloadSpec spec;
   if (family == "random") {
-    const std::int64_t n = args.get_int("n", 16);
-    if (n < 1 || n > 1'000'000) {
-      throw support::ContractViolation("--n must be in [1, 1000000]");
-    }
-    const std::int64_t sigma = args.get_int("sigma", 3);
-    if (sigma < 0 || sigma > 1'000'000) {
-      throw support::ContractViolation("--sigma must be in [0, 1000000]");
-    }
-    const double p = args.get_double("p", 0.3);
-    if (p < 0.0 || p > 1.0) {
-      throw support::ContractViolation("--p must be in [0, 1]");
-    }
-    spec = engine::WorkloadSpec::random(static_cast<std::uint32_t>(n), p,
+    const std::int64_t n = int_flag(args, "n", 16, 1, 1'000'000);
+    const std::int64_t sigma = int_flag(args, "sigma", 3, 0, 1'000'000);
+    spec = engine::WorkloadSpec::random(static_cast<std::uint32_t>(n), probability_flag(args),
                                         static_cast<std::uint32_t>(sigma));
   } else if (family == "staggered") {
     spec = engine::WorkloadSpec::staggered();
@@ -550,7 +669,16 @@ engine::WorkloadSpec sweep_workload(const support::Args& args) {
                                      "registry: " +
                                      engine::workload_names() + ")");
   }
-  return apply_execution_flags(std::move(spec), args);
+  // The --model/--fast execution flags are workload identity too (sweeps
+  // classifying under different channel feedback must not merge), which is
+  // why the --workload spelling carries them inside the spec.
+  if (args.has("model")) {
+    spec.model = parse_model(args);
+  }
+  if (args.has("fast")) {
+    spec.fast = true;
+  }
+  return spec;
 }
 
 /// The fault axis shared by `sweep` and `submit`: --fault=SPEC parsed
@@ -575,10 +703,8 @@ std::vector<core::ProtocolSpec> sweep_protocols(const support::Args& args) {
   for (const std::string& name : args.get_strings("protocol")) {
     protocols.push_back(core::parse_protocol(name));
   }
-  if (args.has("classify-only") && !protocols.empty()) {
-    throw support::ContractViolation(
-        "--classify-only conflicts with --protocol; use --protocol=classify instead");
-  }
+  support::require(!args.has("classify-only") || protocols.empty(),
+                   "--classify-only conflicts with --protocol; use --protocol=classify instead");
   if (protocols.empty()) {
     protocols.push_back(args.has("classify-only") ? core::ProtocolSpec::classify_only()
                                                   : core::ProtocolSpec::canonical());
@@ -586,10 +712,44 @@ std::vector<core::ProtocolSpec> sweep_protocols(const support::Args& args) {
   return protocols;
 }
 
+/// The --count of an unbounded workload (default 100), in [min, max]; none
+/// for a self-counting workload, whose count an explicit --count would
+/// contradict (a usage error, not a preference).
+std::optional<std::uint64_t> sweep_count(const support::Args& args,
+                                         const engine::WorkloadSpec& workload, std::int64_t min,
+                                         std::int64_t max) {
+  if (workload.bounded()) {
+    static_cast<void>(args.get_int("count", 0));  // a malformed value is reported as such first
+    support::require(!args.has("count"), "--count conflicts with the self-counting workload '" +
+                                             workload.name() +
+                                             "' (its configuration count is implied)");
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(int_flag(args, "count", 100, min, max));
+}
+
+/// The sweep axes `sweep` and `submit` share — workload (--workload or the
+/// legacy alias flags), protocols, seed, fault, count and engine — read by
+/// the same functions into the request a submission sends; `sweep` runs
+/// the same fields locally.  `submit`'s own knobs (shard, threads, cache,
+/// store) are left at their defaults.
+serve::SweepRequest sweep_axes(const support::Args& args, std::int64_t min_count,
+                               std::int64_t max_count) {
+  serve::SweepRequest axes;
+  axes.workload = sweep_workload(args);
+  axes.protocols = sweep_protocols(args);
+  axes.seed = seed_flag(args);
+  axes.fault = sweep_fault(args);
+  axes.count = sweep_count(args, axes.workload, min_count, max_count);
+  axes.engine = parse_engine(args);
+  return axes;
+}
+
 /// Prints the summary, cache and per-protocol tables of a batch report —
-/// shared by `sweep` (single-process and --workers) and `merge`, so a
-/// reassembled sweep reads exactly like a local one.
-void print_report(const engine::BatchReport& report) {
+/// shared by `sweep` (single-process and --workers), `merge` and `submit`,
+/// so a reassembled or served sweep reads exactly like a local one.
+/// Returns the exit status: 0 when every job verified, 1 otherwise.
+int print_report(const engine::BatchReport& report) {
   // Feasibility is a verdict only the classifying protocols produce, so the
   // percentage is over their jobs — not over baseline jobs that never
   // classify (which would understate it in mixed-protocol sweeps).
@@ -721,6 +881,33 @@ void print_report(const engine::BatchReport& report) {
     }
     timings.print_markdown(std::cout);
   }
+  return report.valid_count == report.jobs.size() ? 0 : 1;
+}
+
+/// Merges shard reports that cover one sweep completely and prints its
+/// report (print_report's exit status).  Throws dist::MergeError on shards
+/// of different sweeps, overlaps and gaps.
+int print_merged(const std::vector<dist::ShardReport>& shards) {
+  return print_report(dist::complete_report(dist::merge_shards(shards)));
+}
+
+/// Reads the shard report files `paths` names, in order.  Throws
+/// support::ContractViolation naming the file when one cannot be opened or
+/// parsed: misuse for `arl merge` (exit 2); `sweep --workers`, whose own
+/// children wrote the files, rethrows it as a runtime failure.
+std::vector<dist::ShardReport> read_reports(const std::vector<std::string>& paths) {
+  std::vector<dist::ShardReport> shards;
+  shards.reserve(paths.size());
+  for (const std::string& path : paths) {
+    std::ifstream file(path);
+    support::require(file.is_open(), "cannot open " + path);
+    try {
+      shards.push_back(dist::read_shard_report(file));
+    } catch (const dist::ReportFormatError& error) {
+      throw support::ContractViolation(path + ": " + error.what());
+    }
+  }
+  return shards;
 }
 
 /// The `--metrics-out` payload: the sweep's phase-timing snapshot as a flat
@@ -771,80 +958,13 @@ bool emit_shard(const engine::CountedSweep& sweep, const dist::SweepKey& key,
   return all_valid;
 }
 
-/// Runs one job range of the sweep and emits its report (--out file or
-/// stdout) — the target of both --shard=i/K (the planner's range) and
-/// --shard=B-E (an explicit resume range).  Exit 0 when every job in the
-/// range verified, 1 otherwise.
-int run_shard_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& key,
-                    const engine::BatchOptions& batch_options, const dist::JobRange& range,
-                    const std::string& out_path) {
-  if (out_path.empty()) {
-    const bool all_valid = emit_shard(sweep, key, range, batch_options, std::cout);
-    std::cout.flush();
-    if (!std::cout) {
-      // Same contract as the --out branch: a lost or truncated report must
-      // not exit as if the shard were emitted.  Environment failure, not
-      // misuse: std::runtime_error exits 1.
-      throw std::runtime_error("writing the shard report to stdout failed");
-    }
-    return all_valid ? 0 : 1;
-  }
-#if ARL_CLI_HAS_FORK
-  // Write-then-rename, with a SIGINT/SIGTERM handler that unlinks the temp
-  // file: the final name only ever appears via rename of a complete,
-  // flushed report, so an interrupted run leaves *nothing* — never a
-  // truncated file a later `arl merge` would have to diagnose.
-  const std::string tmp_path = out_path + ".tmp." + std::to_string(::getpid());
-  if (tmp_path.size() >= sizeof(g_shard_tmp_path)) {
-    throw support::ContractViolation("--out path is too long");
-  }
-  std::snprintf(g_shard_tmp_path, sizeof(g_shard_tmp_path), "%s", tmp_path.c_str());
-  const ScopedSignalHandlers guard(shard_interrupt);
-  bool all_valid = false;
-  {
-    std::ofstream file(tmp_path);
-    if (!file) {
-      g_shard_tmp_path[0] = '\0';
-      throw support::ContractViolation("cannot open " + tmp_path + " for writing");
-    }
-    all_valid = emit_shard(sweep, key, range, batch_options, file);
-    file.flush();
-    if (!file) {
-      file.close();
-      ::unlink(tmp_path.c_str());
-      g_shard_tmp_path[0] = '\0';
-      // Environment failure (disk full, I/O error), not misuse: exits 1.
-      throw std::runtime_error("writing " + tmp_path + " failed");
-    }
-  }
-  if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    g_shard_tmp_path[0] = '\0';
-    throw std::runtime_error("renaming " + tmp_path + " to " + out_path + " failed");
-  }
-  g_shard_tmp_path[0] = '\0';
-  return all_valid ? 0 : 1;
-#else
-  std::ofstream file(out_path);
-  if (!file) {
-    throw support::ContractViolation("cannot open " + out_path + " for writing");
-  }
-  const bool all_valid = emit_shard(sweep, key, range, batch_options, file);
-  file.flush();
-  if (!file) {
-    // Environment failure (disk full, I/O error), not misuse: exits 1.
-    throw std::runtime_error("writing " + out_path + " failed");
-  }
-  return all_valid ? 0 : 1;
-#endif
-}
-
 /// The zero-infrastructure distributed driver: split the sweep into
 /// `workers` shards, run each in its own forked process writing a shard
 /// report to a temp file, then merge the files end-to-end — the exact
 /// pipeline a multi-host run performs, on one machine.
 int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& key,
                       const engine::BatchOptions& batch_options, std::uint32_t workers) {
+  std::vector<dist::ShardReport> shards;
 #if ARL_CLI_HAS_FORK
   // With the default --threads=0 every forked worker would size its pool
   // to the full hardware concurrency, oversubscribing the machine K-fold;
@@ -862,53 +982,21 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
   };
   const std::vector<dist::JobRange> ranges = dist::shard_ranges(sweep.count, workers);
 
-  // Shard files live in a private 0700 temp directory (mkdtemp), so no
-  // other local user can swap one for a symlink between creation and the
-  // worker's write or the parent's read-back.
-  std::string dir;
-  {
-    const char* tmpdir = std::getenv("TMPDIR");
-    dir = std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp") +
-          "/arl-workers-XXXXXX";
-    if (::mkdtemp(dir.data()) == nullptr) {
-      // Environment failure, not misuse: std::runtime_error exits 1.
-      throw std::runtime_error("cannot create a temp directory for shard reports");
-    }
-  }
-  std::vector<std::string> paths;
-  std::vector<pid_t> children;
-  paths.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    paths.push_back(dir + "/shard-" + std::to_string(w) + ".txt");
-  }
-  const auto cleanup = [&]() {
-    for (const std::string& path : paths) {
-      ::unlink(path.c_str());
-    }
-    ::rmdir(dir.c_str());
-  };
-
   // Fork before any BatchRunner exists: the children must not inherit a
-  // half-alive thread pool, and each builds its own below.  From here to
-  // the last reap, SIGINT/SIGTERM only set a flag: the wait loop converts
-  // it into SIGTERM for every child plus temp-file cleanup, so a Ctrl-C
-  // orphans no worker and leaks no shard file.
+  // half-alive thread pool, and each builds its own below.  From here on,
+  // SIGINT/SIGTERM only set a flag: the wait loop converts it into SIGTERM
+  // for every child, and `dir` (destroyed before `guard`) removes the shard
+  // files on the way out, so a Ctrl-C orphans no worker and leaks no file.
   g_interrupted = 0;
   const ScopedSignalHandlers guard(flag_interrupt);
+  const ShardDir dir(workers);
+  std::vector<pid_t> children;
+  bool fork_failed = false;  // the workers already started are reaped first
   std::cout.flush();
   std::cerr.flush();
-  for (std::uint32_t w = 0; w < workers; ++w) {
+  for (std::uint32_t w = 0; w < workers && !fork_failed; ++w) {
     const pid_t pid = ::fork();
-    if (pid < 0) {
-      for (const pid_t child : children) {
-        int status = 0;
-        while (::waitpid(child, &status, 0) < 0 && errno == EINTR) {
-        }
-      }
-      cleanup();
-      // Environment failure, not misuse: std::runtime_error exits 1.
-      throw std::runtime_error("fork failed while starting sweep workers");
-    }
+    fork_failed = pid < 0;
     if (pid == 0) {
       // Worker: back to default signal dispositions (a terminal Ctrl-C
       // delivers SIGINT to the whole foreground process group, and the
@@ -917,7 +1005,7 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
       std::signal(SIGINT, SIG_DFL);
       std::signal(SIGTERM, SIG_DFL);
       // Worker: run shard w, write its report, and _exit without touching
-      // the parent's stdio buffers.
+      // the parent's stdio buffers (or running the parent's destructors).
       // Failures are reported on the inherited (unbuffered) stderr before
       // _exit, so the parent's generic "a worker failed" has a cause next
       // to it in the terminal.
@@ -925,18 +1013,13 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
       try {
         engine::BatchOptions options = batch_options;
         options.threads = worker_threads(w);
-        std::ofstream file(paths[w]);
-        if (file) {
-          const bool all_valid = emit_shard(sweep, key, ranges[w], options, file);
-          file.flush();
-          code = file ? (all_valid ? 0 : 1) : 3;
-          if (!file) {
-            std::cerr << "error: worker " << w << ": writing " << paths[w] << " failed\n";
-          }
-        } else {
-          std::cerr << "error: worker " << w << ": cannot open " << paths[w]
-                    << " for writing\n";
+        std::ofstream file(dir.files[w]);
+        support::require(file.is_open(), "cannot open " + dir.files[w] + " for writing");
+        const bool all_valid = emit_shard(sweep, key, ranges[w], options, file);
+        if (!file.flush()) {
+          throw std::runtime_error("writing " + dir.files[w] + " failed");
         }
+        code = all_valid ? 0 : 1;
       } catch (const std::exception& error) {
         std::cerr << "error: worker " << w << ": " << error.what() << '\n';
       } catch (...) {
@@ -944,7 +1027,9 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
       }
       ::_exit(code);
     }
-    children.push_back(pid);
+    if (pid > 0) {
+      children.push_back(pid);
+    }
   }
 
   bool worker_failed = false;
@@ -977,79 +1062,45 @@ int run_workers_sweep(const engine::CountedSweep& sweep, const dist::SweepKey& k
     }
   }
   if (g_interrupted != 0) {
-    // Interrupted after every child was terminated and reaped: remove the
-    // (possibly partial) shard files and exit with the conventional
-    // interrupted status instead of merging a torso.
-    cleanup();
+    // Interrupted after every child was terminated and reaped: the
+    // (possibly partial) shard files go with `dir`, and the run exits with
+    // the conventional interrupted status instead of merging a torso.
     std::cerr << "error: sweep interrupted; workers terminated, shard files removed\n";
     return 130;
   }
+  if (fork_failed) {
+    // Environment failure, not misuse: std::runtime_error exits 1.
+    throw std::runtime_error("fork failed while starting sweep workers");
+  }
   if (worker_failed) {
-    cleanup();
-    std::cerr << "error: a sweep worker process failed\n";
-    return 1;
+    throw std::runtime_error("a sweep worker process failed");
   }
-
-  std::vector<dist::ShardReport> shards;
-  shards.reserve(workers);
-  for (const std::string& path : paths) {
-    std::ifstream file(path);
-    if (!file) {
-      cleanup();
-      std::cerr << "error: cannot read worker shard report " << path << '\n';
-      return 1;
-    }
-    try {
-      shards.push_back(dist::read_shard_report(file));
-    } catch (const dist::ReportFormatError& error) {
-      cleanup();
-      std::cerr << "error: worker shard report " << path << ": " << error.what() << '\n';
-      return 1;
-    }
+  try {
+    shards = read_reports(dir.files);
+  } catch (const support::ContractViolation& error) {
+    throw std::runtime_error(error.what());  // the workers' output, not the user's: exit 1
   }
-  cleanup();
-
-  const engine::BatchReport report = dist::complete_report(dist::merge_shards(shards));
-  print_report(report);
-  return report.valid_count == report.jobs.size() ? 0 : 1;
 #else
   // No fork() on this platform: run the same shard/merge pipeline
   // sequentially in-process — wire format included — so --workers stays
   // meaningful (and equally exercised) everywhere.
-  std::vector<dist::ShardReport> shards;
   for (const dist::JobRange& range : dist::shard_ranges(sweep.count, workers)) {
     std::stringstream wire;
     (void)emit_shard(sweep, key, range, batch_options, wire);
     shards.push_back(dist::read_shard_report(wire));
   }
-  const engine::BatchReport report = dist::complete_report(dist::merge_shards(shards));
-  print_report(report);
-  return report.valid_count == report.jobs.size() ? 0 : 1;
 #endif
+  return print_merged(shards);
 }
 
 int cmd_sweep(const support::Args& args) {
-  const auto count = static_cast<std::size_t>(args.get_int("count", 100));
   // Guard against pathological worker counts: a typo'd --threads must fail
   // with a usage error, not silently spawn thousands of threads.
-  const std::int64_t threads_flag = args.get_int("threads", 0);
-  if (threads_flag < 0 || threads_flag > 256) {
-    throw support::ContractViolation("--threads must be in [0, 256] (0 = hardware concurrency)");
-  }
-
   engine::BatchOptions batch_options;
-  batch_options.threads = static_cast<unsigned>(threads_flag);
-  batch_options.seed = seed_flag(args);
-  // Flag-validation throws (here and below) reach main()'s ContractViolation
-  // handler, which exits 2 like every other usage error.
-  batch_options.fault = sweep_fault(args);
+  batch_options.threads =
+      static_cast<unsigned>(int_flag(args, "threads", 0, 0, 256, " (0 = hardware concurrency)"));
   batch_options.cache_capacity = parse_cache_capacity(args);
   batch_options.store_directory = parse_store_directory(args);
-  batch_options.engine = parse_engine(args);
-
-  // The protocol axis: repeatable --protocol flags, validated against the
-  // registry; several protocols make the batch a head-to-head cross product.
-  const std::vector<core::ProtocolSpec> protocols = sweep_protocols(args);
 
   // The distributed axis: --shard=i/K emits one shard report, --workers=K
   // forks local workers and merges; they are drivers of the same sweep, so
@@ -1067,75 +1118,49 @@ int cmd_sweep(const support::Args& args) {
       shard = dist::parse_shard(value);
     }
   }
+  const bool sharded = shard || resume_range;
   std::optional<std::uint32_t> workers;
   if (args.has("workers")) {
-    const std::int64_t workers_flag = args.get_int("workers", 0);
-    if (workers_flag < 1 || workers_flag > 256) {
-      throw support::ContractViolation("--workers must be in [1, 256]");
-    }
-    workers = static_cast<std::uint32_t>(workers_flag);
+    workers = static_cast<std::uint32_t>(int_flag(args, "workers", 0, 1, 256));
   }
-  if ((shard || resume_range) && workers) {
-    std::cerr << "error: --shard and --workers conflict; --shard runs one piece of a "
-                 "distributed sweep, --workers drives all of them locally\n";
-    return 2;
-  }
-  if (args.has("out") && !shard && !resume_range) {
-    std::cerr << "error: --out only applies to --shard runs (the shard report destination)\n";
-    return 2;
-  }
-  if (args.has("out") && args.get_string("out", "").empty()) {
-    // An empty value is a mangled flag (e.g. an unset shell variable), not
-    // a request for stdout — omitting --out entirely means stdout.
-    std::cerr << "error: --out needs a file path (omit the flag to write to stdout)\n";
-    return 2;
-  }
+  support::require(!sharded || !workers,
+                   "--shard and --workers conflict; --shard runs one piece of a "
+                   "distributed sweep, --workers drives all of them locally");
+  support::require(!args.has("out") || sharded,
+                   "--out only applies to --shard runs (the shard report destination)");
+  const std::string out_path =
+      path_flag(args, "out", "file path (omit the flag to write to stdout)");
 
   // The observability flags are plain-path features: shard reports carry no
   // phase data (timings are execution circumstances, excluded from the wire
   // format), and forked workers would interleave one trace file.
-  const std::string metrics_out = args.get_string("metrics-out", "");
-  if (args.has("metrics-out") && metrics_out.empty()) {
-    std::cerr << "error: --metrics-out needs a file path\n";
-    return 2;
-  }
-  const std::string trace_path = args.get_string("trace", "");
-  if (args.has("trace") && trace_path.empty()) {
-    std::cerr << "error: --trace needs a file path\n";
-    return 2;
-  }
-  if ((args.has("metrics-out") || args.has("trace")) && (shard || resume_range || workers)) {
-    std::cerr << "error: --metrics-out and --trace apply to plain sweeps only "
-                 "(not --shard or --workers runs)\n";
-    return 2;
-  }
+  const std::string metrics_out = path_flag(args, "metrics-out", "file path");
+  const std::string trace_path = path_flag(args, "trace", "file path");
+  support::require(!(args.has("metrics-out") || args.has("trace")) || !(sharded || workers),
+                   "--metrics-out and --trace apply to plain sweeps only "
+                   "(not --shard or --workers runs)");
 
-  // The workload axis: one registry spec, whether spelled as --workload or
-  // through the legacy alias flags; identity (name + digest) feeds the
-  // shard reports, so every workload shards, merges and caches uniformly.
-  const engine::WorkloadSpec workload = sweep_workload(args);
-  if (args.has("count") && workload.bounded()) {
-    std::cerr << "error: --count conflicts with the self-counting workload '"
-              << workload.name() << "' (its configuration count is implied)\n";
-    return 2;
-  }
-
-  const engine::CountedSweep sweep =
-      workload.instantiate(batch_options.seed, protocols, {.count = count});
-  const dist::SweepKey key = dist::make_sweep_key(workload, protocols, batch_options.seed,
-                                                  batch_options.fault, sweep.count);
-  if (shard) {
-    return run_shard_sweep(sweep, key, batch_options, dist::shard_range(sweep.count, *shard),
-                           args.get_string("out", ""));
-  }
-  if (resume_range) {
-    if (resume_range->end > sweep.count) {
-      throw support::ContractViolation(
-          "--shard range [" + std::to_string(resume_range->begin) + ", " +
-          std::to_string(resume_range->end) + ") exceeds the sweep's " +
-          std::to_string(sweep.count) + " jobs");
-    }
-    return run_shard_sweep(sweep, key, batch_options, *resume_range, args.get_string("out", ""));
+  // The sweep axes, read as `submit` reads them.  The workload's identity
+  // (name + digest) feeds the shard reports, so every workload shards,
+  // merges and caches uniformly.
+  const serve::SweepRequest axes = sweep_axes(args, 0, std::numeric_limits<std::int64_t>::max());
+  batch_options.seed = axes.seed;
+  batch_options.fault = axes.fault;
+  batch_options.engine = axes.engine;
+  const engine::CountedSweep sweep = axes.workload.instantiate(
+      axes.seed, axes.protocols, {.count = static_cast<std::size_t>(axes.count.value_or(0))});
+  const dist::SweepKey key = dist::make_sweep_key(axes.workload, axes.protocols, axes.seed,
+                                                  axes.fault, sweep.count);
+  if (sharded) {
+    const dist::JobRange range = shard ? dist::shard_range(sweep.count, *shard) : *resume_range;
+    support::require(range.end <= sweep.count,
+                     "--shard range [" + std::to_string(range.begin) + ", " +
+                         std::to_string(range.end) + ") exceeds the sweep's " +
+                         std::to_string(sweep.count) + " jobs");
+    ReportFile sink(out_path);
+    const bool all_valid = emit_shard(sweep, key, range, batch_options, sink.stream());
+    sink.commit();
+    return all_valid ? 0 : 1;
   }
   if (workers) {
     return run_workers_sweep(sweep, key, batch_options, *workers);
@@ -1154,32 +1179,72 @@ int cmd_sweep(const support::Args& args) {
   if (!metrics_out.empty()) {
     write_metrics_json(report, metrics_out);
   }
-  print_report(report);
-  return report.valid_count == report.jobs.size() ? 0 : 1;
+  return print_report(report);
 }
 
-/// `arl workloads` — the registry listing, symmetric to the protocol list
-/// CLI errors show: one row per registered workload (its canonical
-/// default-parameter name) plus the spec grammar.
-int cmd_workloads() {
-  support::Table table({"workload", "configurations"});
-  for (const engine::WorkloadSpec& workload : engine::registered_workloads()) {
-    table.add_row({workload.name(), workload.describe()});
+/// `arl workloads` and `arl faults` — a registry listing, symmetric to the
+/// registry CLI errors show: one row per registered spec (its canonical
+/// default-parameter name and what it does) plus the spec grammar.
+template <typename Spec>
+int list_registry(const std::vector<Spec>& specs, const char* noun, const char* column,
+                  const char* grammar, const std::string& names) {
+  support::Table table({noun, column});
+  for (const Spec& spec : specs) {
+    table.add_row({spec.name(), spec.describe()});
   }
   table.print_markdown(std::cout);
-  std::cout << "\nspec grammar: kind[:key=value,...] — " << engine::workload_names() << '\n';
+  std::cout << "\nspec grammar: " << grammar << " — " << names << '\n';
   return 0;
 }
 
-/// `arl faults` — the registry listing, symmetric to `arl workloads`: one
-/// row per registered fault (its canonical name) plus the spec grammar.
-int cmd_faults() {
-  support::Table table({"fault", "effect"});
-  for (const fault::FaultSpec& fault : fault::registered_faults()) {
-    table.add_row({fault.name(), fault.describe()});
+int cmd_workloads(const support::Args&) {
+  return list_registry(engine::registered_workloads(), "workload", "configurations",
+                       "kind[:key=value,...]", engine::workload_names());
+}
+
+int cmd_faults(const support::Args&) {
+  return list_registry(fault::registered_faults(), "fault", "effect", "kind[:param,...]",
+                       fault::fault_names());
+}
+
+/// `arl merge --missing`: which job ids do the surviving shard files NOT
+/// cover, and what exact commands re-run them.  Exit 0 either way — an
+/// incomplete sweep is the expected input here, not an error.
+int print_missing(const dist::ShardReport& merged) {
+  const std::vector<dist::JobRange> gaps = dist::missing_ranges(merged);
+  if (gaps.empty()) {
+    std::cerr << "coverage complete: all " << merged.key.total_jobs
+              << " jobs present; `arl merge` (without --missing) yields the report\n";
+    return 0;
   }
-  table.print_markdown(std::cout);
-  std::cout << "\nspec grammar: kind[:param,...] — " << fault::fault_names() << '\n';
+
+  // Reconstruct the sweep flags from the merged identity.  The workload
+  // name is the canonical registry spelling (the report parser verified
+  // the round trip), so it feeds --workload verbatim; unbounded workloads
+  // additionally need the --count that produced total_jobs (= count × P).
+  std::string flags = "--workload=" + merged.key.description;
+  for (const std::string& protocol : merged.key.protocols) {
+    flags += " --protocol=" + protocol;
+  }
+  flags += " --seed=" + std::to_string(merged.key.seed);
+  if (merged.key.fault != "none") {
+    flags += " --fault=" + merged.key.fault;
+  }
+  if (!engine::parse_workload(merged.key.description).bounded()) {
+    flags += " --count=" + std::to_string(merged.key.total_jobs / merged.key.protocols.size());
+  }
+
+  engine::JobId missing_jobs = 0;
+  for (const dist::JobRange& gap : gaps) {
+    missing_jobs += gap.size();
+    const std::string span = std::to_string(gap.begin) + "-" + std::to_string(gap.end);
+    std::cout << "arl sweep " << flags << " --shard=" << span << " --out=resume-" << span
+              << ".txt\n";
+  }
+  std::cerr << "coverage incomplete: " << missing_jobs << " of " << merged.key.total_jobs
+            << " jobs missing across " << gaps.size()
+            << " range(s); run the command(s) above, then merge the surviving and resumed "
+               "shard files together\n";
   return 0;
 }
 
@@ -1188,133 +1253,46 @@ int cmd_faults() {
 /// exactly as `arl sweep` would have.  Malformed or mismatched input exits
 /// 2; nothing is ever merged silently.
 int cmd_merge(const support::Args& args) {
-  const std::vector<std::string>& positional = args.positional();
-  if (positional.size() < 2) {
-    std::cerr << "error: merge needs at least one shard report file\n";
-    return 2;
-  }
-  std::vector<dist::ShardReport> shards;
-  shards.reserve(positional.size() - 1);
-  for (std::size_t i = 1; i < positional.size(); ++i) {
-    std::ifstream file(positional[i]);
-    if (!file) {
-      std::cerr << "error: cannot open " << positional[i] << '\n';
-      return 2;
-    }
-    try {
-      shards.push_back(dist::read_shard_report(file));
-    } catch (const dist::ReportFormatError& error) {
-      std::cerr << "error: " << positional[i] << ": " << error.what() << '\n';
-      return 2;
-    }
-  }
-  if (args.has("missing")) {
-    // Coverage analysis instead of a merge: which job ids do the surviving
-    // shard files NOT cover, and what exact commands re-run them.  Exit 0
-    // either way — an incomplete sweep is the expected input here, not an
-    // error; only unmergeable shards (different sweeps, overlaps) exit 2.
-    dist::ShardReport merged;
-    try {
-      merged = dist::merge_shards(shards);
-    } catch (const dist::MergeError& error) {
-      std::cerr << "error: " << error.what() << '\n';
-      return 2;
-    }
-    const std::vector<dist::JobRange> gaps = dist::missing_ranges(merged);
-    if (gaps.empty()) {
-      std::cerr << "coverage complete: all " << merged.key.total_jobs
-                << " jobs present; `arl merge` (without --missing) yields the report\n";
-      return 0;
-    }
-
-    // Reconstruct the sweep flags from the merged identity.  The workload
-    // name is the canonical registry spelling (the report parser verified
-    // the round trip), so it feeds --workload verbatim; unbounded workloads
-    // additionally need the --count that produced total_jobs (= count × P).
-    std::string flags = "--workload=" + merged.key.description;
-    for (const std::string& protocol : merged.key.protocols) {
-      flags += " --protocol=" + protocol;
-    }
-    flags += " --seed=" + std::to_string(merged.key.seed);
-    if (merged.key.fault != "none") {
-      flags += " --fault=" + merged.key.fault;
-    }
-    if (!engine::parse_workload(merged.key.description).bounded()) {
-      flags += " --count=" +
-               std::to_string(merged.key.total_jobs / merged.key.protocols.size());
-    }
-
-    engine::JobId missing_jobs = 0;
-    for (const dist::JobRange& gap : gaps) {
-      missing_jobs += gap.size();
-      const std::string span = std::to_string(gap.begin) + "-" + std::to_string(gap.end);
-      std::cout << "arl sweep " << flags << " --shard=" << span << " --out=resume-" << span
-                << ".txt\n";
-    }
-    std::cerr << "coverage incomplete: " << missing_jobs << " of " << merged.key.total_jobs
-              << " jobs missing across " << gaps.size()
-              << " range(s); run the command(s) above, then merge the surviving and resumed "
-                 "shard files together\n";
-    return 0;
-  }
-
-  engine::BatchReport report;
+  const std::vector<std::string> paths(args.positional().begin() + 1, args.positional().end());
+  support::require(!paths.empty(), "merge needs at least one shard report file");
+  const std::vector<dist::ShardReport> shards = read_reports(paths);
+  // Shards of different sweeps and overlaps — and, without --missing, gaps
+  // — are misuse as well.
   try {
-    report = dist::complete_report(dist::merge_shards(shards));
+    return args.has("missing") ? print_missing(dist::merge_shards(shards)) : print_merged(shards);
   } catch (const dist::MergeError& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 2;
+    throw support::ContractViolation(error.what());
   }
-  print_report(report);
-  return report.valid_count == report.jobs.size() ? 0 : 1;
 }
 
 /// `arl serve` — run the sweep service until SIGINT/SIGTERM, then drain.
 /// ServeError (bad socket, unsupported platform) reaches main()'s generic
 /// handler and exits 1.
 int cmd_serve(const support::Args& args) {
-  const std::string socket_path = args.get_string("socket", "");
-  if (socket_path.empty()) {
-    throw support::ContractViolation("serve needs --socket=PATH (the unix socket to listen on)");
-  }
-  const std::int64_t threads_flag = args.get_int("threads", 0);
-  if (threads_flag < 0 || threads_flag > 256) {
-    throw support::ContractViolation("--threads must be in [0, 256] (0 = hardware concurrency)");
-  }
-  const std::int64_t queue_flag = args.get_int("queue", 8);
-  if (queue_flag < 1 || queue_flag > 4096) {
-    throw support::ContractViolation("--queue must be in [1, 4096]");
-  }
-
   serve::ServerOptions options;
-  options.socket_path = socket_path;
-  options.threads = static_cast<unsigned>(threads_flag);
+  options.socket_path = socket_flag(args, "the unix socket to listen on");
+  options.threads =
+      static_cast<unsigned>(int_flag(args, "threads", 0, 0, 256, " (0 = hardware concurrency)"));
+  options.queue_limit = static_cast<std::size_t>(int_flag(args, "queue", 8, 1, 4096));
   // Unlike `sweep`, the cache defaults ON: cross-request reuse is the
   // service's whole point, so opting *out* is the explicit choice.
   options.cache_capacity = args.has("cache") ? parse_cache_capacity(args)
                                              : engine::ScheduleCache::kDefaultCapacity;
   options.store_directory = parse_store_directory(args);
-  if (!options.store_directory.empty() && options.cache_capacity == 0) {
-    throw support::ContractViolation(
-        "--store conflicts with --cache=off (the store is the cache's disk tier)");
-  }
-  options.queue_limit = static_cast<std::size_t>(queue_flag);
 
   serve::SweepServer server(std::move(options));
 #if ARL_CLI_HAS_FORK
   g_serve_stop_fd = server.stop_fd();
   const ScopedSignalHandlers guard(serve_interrupt);
 #endif
-  std::cerr << "arl serve: listening on " << socket_path << " (queue " << queue_flag
-            << ", cache " << server.options().cache_capacity << " entries";
+  std::cerr << "arl serve: listening on " << server.options().socket_path << " (queue "
+            << server.options().queue_limit << ", cache " << server.options().cache_capacity
+            << " entries";
   if (!server.options().store_directory.empty()) {
     std::cerr << ", store " << server.options().store_directory;
   }
   std::cerr << ")\n";
   server.run();
-#if ARL_CLI_HAS_FORK
-  g_serve_stop_fd = -1;
-#endif
   // The drain summary is the same ServerStats snapshot a `stats` request
   // returns, printed through the same formatter — the daemon's log and
   // `arl stats` can never disagree on a counter.
@@ -1326,15 +1304,8 @@ int cmd_serve(const support::Args& args) {
 /// `arl stats` — query a running service for its live statistics snapshot.
 /// The same ServerStats the daemon prints on drain, fetched over the wire.
 int cmd_stats(const support::Args& args) {
-  const std::string socket_path = args.get_string("socket", "");
-  if (socket_path.empty()) {
-    throw support::ContractViolation("stats needs --socket=PATH (a running `arl serve` socket)");
-  }
-  const std::int64_t timeout_flag = args.get_int("timeout", 0);
-  if (timeout_flag < 0 || timeout_flag > 86400) {
-    throw support::ContractViolation("--timeout must be in [0, 86400] seconds (0 = wait forever)");
-  }
-  serve::Client client(socket_path, static_cast<unsigned>(timeout_flag));
+  const std::string socket_path = socket_flag(args, "a running `arl serve` socket");
+  serve::Client client(socket_path, timeout_flag(args));
   serve::print_stats(std::cout, "", client.stats());
   return 0;
 }
@@ -1344,82 +1315,57 @@ int cmd_stats(const support::Args& args) {
 /// full-range submission prints exactly the `arl sweep` tables, and a
 /// --shard submission prints the raw report (like `sweep --shard`).
 int cmd_submit(const support::Args& args) {
-  const std::string socket_path = args.get_string("socket", "");
-  if (socket_path.empty()) {
-    throw support::ContractViolation("submit needs --socket=PATH (a running `arl serve` socket)");
+  // Every flag is checked before connecting (and before --ping answers): a
+  // bad value is a usage error whether or not a server is reachable, and
+  // never costs the server a sweep.
+  const std::string socket_path = socket_flag(args, "a running `arl serve` socket");
+  const unsigned timeout = timeout_flag(args);
+  serve::SweepRequest request =
+      sweep_axes(args, 1, static_cast<std::int64_t>(serve::kMaxRequestCount));
+  if (args.has("shard")) {
+    request.shard = dist::parse_shard(args.get_string("shard", ""));
   }
-  const std::int64_t timeout_flag = args.get_int("timeout", 0);
-  if (timeout_flag < 0 || timeout_flag > 86400) {
-    throw support::ContractViolation("--timeout must be in [0, 86400] seconds (0 = wait forever)");
+  const std::int64_t threads =
+      int_flag(args, "threads", 0, 0, static_cast<std::int64_t>(serve::kMaxRequestThreads),
+               " (0 = the server's pool)");
+  if (threads > 0) {
+    request.threads = static_cast<std::uint64_t>(threads);
   }
-  // Validated before connecting (and before --ping returns): a bad value is
-  // a usage error whether or not a server is reachable.
-  bool use_store = true;
+  if (args.has("cache")) {
+    const std::string value = args.get_string("cache", "");
+    support::require(value == "on" || value == "off" || value.empty(),
+                     "--cache must be on or off for submit (capacity is a server-side option)");
+    request.use_cache = value != "off";
+  }
   if (args.has("store")) {
-    if (args.get_string("store", "") != "off") {
-      throw support::ContractViolation(
-          "--store must be off for submit (the directory is a server-side option)");
-    }
-    use_store = false;
+    support::require(args.get_string("store", "") == "off",
+                     "--store must be off for submit (the directory is a server-side option)");
+    request.use_store = false;
   }
-  serve::Client client(socket_path, static_cast<unsigned>(timeout_flag));
+  const std::string out_path = path_flag(args, "out", "file path (omit the flag to print tables)");
 
   if (args.has("ping")) {
+    serve::Client client(socket_path, timeout);
     const serve::Response pong = client.ping();
     std::cout << "pong: cache " << pong.totals.hits << " hits, " << pong.totals.misses
               << " misses, " << pong.totals.entries << " entries\n";
     return 0;
   }
 
-  serve::SweepRequest request;
-  request.workload = sweep_workload(args);
-  request.protocols = sweep_protocols(args);
-  request.seed = seed_flag(args);
-  request.fault = sweep_fault(args);
-  if (args.has("count") && request.workload.bounded()) {
-    std::cerr << "error: --count conflicts with the self-counting workload '"
-              << request.workload.name() << "' (its configuration count is implied)\n";
-    return 2;
+  // A raw report (--out, or a single shard, which is not the whole sweep)
+  // goes through the sink, opened before the server runs anything.
+  std::optional<ReportFile> sink;
+  if (!out_path.empty() || request.shard) {
+    sink.emplace(out_path);
   }
-  if (!request.workload.bounded()) {
-    const std::int64_t count_flag = args.get_int("count", 100);
-    if (count_flag < 1 || count_flag > static_cast<std::int64_t>(serve::kMaxRequestCount)) {
-      throw support::ContractViolation("--count must be in [1, " +
-                                       std::to_string(serve::kMaxRequestCount) + "]");
-    }
-    request.count = static_cast<std::uint64_t>(count_flag);
-  }
-  if (args.has("shard")) {
-    request.shard = dist::parse_shard(args.get_string("shard", ""));
-  }
-  request.engine = parse_engine(args);
-  const std::int64_t threads_flag = args.get_int("threads", 0);
-  if (threads_flag < 0 || threads_flag > static_cast<std::int64_t>(serve::kMaxRequestThreads)) {
-    throw support::ContractViolation("--threads must be in [0, 256] (0 = the server's pool)");
-  }
-  if (threads_flag > 0) {
-    request.threads = static_cast<std::uint64_t>(threads_flag);
-  }
-  if (args.has("cache")) {
-    const std::string value = args.get_string("cache", "");
-    if (value == "off") {
-      request.use_cache = false;
-    } else if (value != "on" && !value.empty()) {
-      throw support::ContractViolation(
-          "--cache must be on or off for submit (capacity is a server-side option)");
-    }
-  }
-  request.use_store = use_store;
-
+  serve::Client client(socket_path, timeout);
   const serve::SubmitResult result = client.submit(request);
   if (result.outcome.kind == serve::Response::Kind::Busy) {
-    std::cerr << "error: server busy (queue limit " << result.outcome.queue_limit
-              << "); try again\n";
-    return 1;
+    throw std::runtime_error("server busy (queue limit " +
+                             std::to_string(result.outcome.queue_limit) + "); try again");
   }
   if (result.outcome.kind == serve::Response::Kind::Error) {
-    std::cerr << "error: server: " << result.outcome.message << '\n';
-    return 1;
+    throw std::runtime_error("server: " + result.outcome.message);
   }
 
   // The per-request / cumulative cache attribution from the done line, on
@@ -1431,43 +1377,21 @@ int cmd_submit(const support::Args& args) {
             << totals.hits << " hits, " << totals.misses << " misses, " << totals.entries
             << " entries\n";
 
-  // Parse the report even when only writing it to a file: the exit code
-  // promises every job verified, and the end-line digest check catches a
-  // response corrupted in flight.
+  // Parse the report even when only writing it out: the exit code promises
+  // every job verified, and the end-line digest check catches a response
+  // corrupted in flight.
   std::istringstream body(result.report);
   const dist::ShardReport shard = dist::read_shard_report(body);
-  const bool all_valid = shard.report.valid_count == shard.report.jobs.size();
-
-  const std::string out_path = args.get_string("out", "");
-  if (args.has("out") && out_path.empty()) {
-    std::cerr << "error: --out needs a file path (omit the flag to print tables)\n";
-    return 2;
+  if (!sink) {
+    return print_merged({shard});
   }
-  if (!out_path.empty()) {
-    std::ofstream file(out_path);
-    if (!file) {
-      throw support::ContractViolation("cannot open " + out_path + " for writing");
-    }
-    file << result.report;
-    file.flush();
-    if (!file) {
-      throw std::runtime_error("writing " + out_path + " failed");
-    }
-    return all_valid ? 0 : 1;
-  }
-  if (request.shard) {
-    // A single shard is not the whole sweep; emit the raw report (exactly
-    // what `sweep --shard` prints) for a later merge.
-    std::cout << result.report;
-    return all_valid ? 0 : 1;
-  }
-  const engine::BatchReport report = dist::complete_report(dist::merge_shards({shard}));
-  print_report(report);
-  return report.valid_count == report.jobs.size() ? 0 : 1;
+  sink->stream() << result.report;
+  sink->commit();
+  return shard.report.valid_count == shard.report.jobs.size() ? 0 : 1;
 }
 
 int cmd_trace(const support::Args& args) {
-  const config::Configuration c = read_configuration(args, 1);
+  const config::Configuration c = read_configuration(args);
   const auto schedule = core::make_schedule(c, parse_model(args));
   radio::StreamTrace trace(std::cout, args.has("verbose"));
   radio::SimulatorOptions options;
@@ -1484,19 +1408,19 @@ int cmd_trace(const support::Args& args) {
 }
 
 int cmd_schedule(const support::Args& args) {
-  const config::Configuration c = read_configuration(args, 1);
+  const config::Configuration c = read_configuration(args);
   const auto schedule = core::make_schedule(c, parse_model(args));
   core::schedule_to_text(*schedule, std::cout);
   return 0;
 }
 
 int cmd_dot(const support::Args& args) {
-  config::to_dot(read_configuration(args, 1), std::cout);
+  config::to_dot(read_configuration(args), std::cout);
   return 0;
 }
 
 int cmd_orbits(const support::Args& args) {
-  const config::Configuration c = read_configuration(args, 1);
+  const config::Configuration c = read_configuration(args);
   const core::SymmetryReport report = core::analyze_symmetry(c);
   std::cout << (report.feasible() ? "feasible" : "infeasible") << ": " << report.orbits.size()
             << " orbit(s) of indistinguishable nodes\n";
@@ -1513,7 +1437,7 @@ int cmd_orbits(const support::Args& args) {
 }
 
 int cmd_validate(const support::Args& args) {
-  const config::Configuration c = read_configuration(args, 1);
+  const config::Configuration c = read_configuration(args);
   const auto schedule = core::make_schedule(c, parse_model(args));
   const core::CanonicalDrip drip(schedule);
   radio::ExecutionRecorder recorder;
@@ -1532,6 +1456,20 @@ int cmd_validate(const support::Args& args) {
   return 1;
 }
 
+/// The command table `main` dispatches through.
+struct Command {
+  const char* name;
+  int (*run)(const support::Args&);
+};
+
+constexpr Command kCommands[] = {
+    {"gen", cmd_gen},           {"classify", cmd_classify},   {"elect", cmd_elect},
+    {"sweep", cmd_sweep},       {"merge", cmd_merge},         {"serve", cmd_serve},
+    {"submit", cmd_submit},     {"stats", cmd_stats},         {"workloads", cmd_workloads},
+    {"faults", cmd_faults},     {"trace", cmd_trace},         {"schedule", cmd_schedule},
+    {"dot", cmd_dot},           {"orbits", cmd_orbits},       {"validate", cmd_validate},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1544,53 +1482,12 @@ int main(int argc, char** argv) {
   }
   const std::string& command = args.positional().front();
   try {
-    if (command == "gen") {
-      return cmd_gen(args);
+    for (const Command& entry : kCommands) {
+      if (command == entry.name) {
+        return entry.run(args);
+      }
     }
-    if (command == "classify") {
-      return cmd_classify(args);
-    }
-    if (command == "elect") {
-      return cmd_elect(args);
-    }
-    if (command == "sweep") {
-      return cmd_sweep(args);
-    }
-    if (command == "merge") {
-      return cmd_merge(args);
-    }
-    if (command == "serve") {
-      return cmd_serve(args);
-    }
-    if (command == "submit") {
-      return cmd_submit(args);
-    }
-    if (command == "stats") {
-      return cmd_stats(args);
-    }
-    if (command == "workloads") {
-      return cmd_workloads();
-    }
-    if (command == "faults") {
-      return cmd_faults();
-    }
-    if (command == "trace") {
-      return cmd_trace(args);
-    }
-    if (command == "schedule") {
-      return cmd_schedule(args);
-    }
-    if (command == "dot") {
-      return cmd_dot(args);
-    }
-    if (command == "orbits") {
-      return cmd_orbits(args);
-    }
-    if (command == "validate") {
-      return cmd_validate(args);
-    }
-    std::cerr << "error: unknown command '" << command << "' (see `arl help`)\n";
-    return 2;
+    throw support::ContractViolation("unknown command '" + command + "' (see `arl help`)");
   } catch (const support::ContractViolation& error) {
     // Contract violations are misuse — bad flag values, unreadable input —
     // and exit 2 like every other usage error; runtime failures exit 1.
