@@ -1,5 +1,7 @@
 #include "core/quotient.hpp"
 
+#include <algorithm>
+
 #include "core/fast_classifier.hpp"
 #include "support/assert.hpp"
 
@@ -29,20 +31,21 @@ SymmetryReport analyze_symmetry(const config::Configuration& configuration,
     }
   }
 
-  // Quotient graph over orbits.
-  graph::Graph::Builder builder(num_classes);
+  // Quotient graph over orbits: one edge per distinct pair of adjacent
+  // classes, however many graph edges fall on it.
+  std::vector<graph::Edge> class_pairs;
   for (graph::NodeId v = 0; v < configuration.size(); ++v) {
     for (const graph::NodeId w : configuration.graph().neighbors(v)) {
-      if (v < w) {
-        const ClassId a = clazz[v];
-        const ClassId b = clazz[w];
-        if (a != b && !builder.has_edge(a - 1, b - 1)) {
-          builder.add_edge(a - 1, b - 1);
-        }
+      const ClassId a = clazz[v] - 1;
+      const ClassId b = clazz[w] - 1;
+      if (v < w && a != b) {
+        class_pairs.emplace_back(std::min(a, b), std::max(a, b));
       }
     }
   }
-  report.quotient = std::move(builder).build();
+  std::sort(class_pairs.begin(), class_pairs.end());
+  class_pairs.erase(std::unique(class_pairs.begin(), class_pairs.end()), class_pairs.end());
+  report.quotient = graph::Graph::from_edges(num_classes, class_pairs);
 
   ARL_ENSURES(report.feasible() == classification.feasible(),
               "singleton orbits must coincide with the feasibility verdict");

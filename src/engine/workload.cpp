@@ -97,8 +97,13 @@ void validate(const WorkloadSpec& spec) {
       require(spec.dimension >= 1 && spec.dimension <= 20, at + "d must be in [1, 20]");
       break;
     case WorkloadKind::Tree:
-    case WorkloadKind::SingleHop:
       require(spec.nodes >= 1 && spec.nodes <= 1'000'000, at + "n must be in [1, 1000000]");
+      spannable(spec.nodes);
+      break;
+    case WorkloadKind::SingleHop:
+      // K_n has n(n-1)/2 edges; K_4096's 8,386,560 stay below the largest
+      // fixed topology, hypercube:d=20 (10,485,760).
+      require(spec.nodes >= 1 && spec.nodes <= 4096, at + "n must be in [1, 4096]");
       spannable(spec.nodes);
       break;
     case WorkloadKind::Mutations:

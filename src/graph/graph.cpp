@@ -1,53 +1,48 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
 #include "support/assert.hpp"
 
 namespace arl::graph {
 
-Graph::Builder::Builder(NodeId nodes) : nodes_(nodes), adjacency_(nodes) {}
-
-Graph::Builder& Graph::Builder::add_edge(NodeId u, NodeId v) {
-  ARL_EXPECTS(u < nodes_ && v < nodes_, "edge endpoint out of range");
-  ARL_EXPECTS(u != v, "self loops are not allowed in a simple graph");
-  ARL_EXPECTS(!has_edge(u, v), "parallel edges are not allowed in a simple graph");
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  return *this;
-}
-
-bool Graph::Builder::has_edge(NodeId u, NodeId v) const {
-  ARL_EXPECTS(u < nodes_ && v < nodes_, "edge endpoint out of range");
-  const auto& shorter =
-      adjacency_[u].size() <= adjacency_[v].size() ? adjacency_[u] : adjacency_[v];
-  const NodeId needle = adjacency_[u].size() <= adjacency_[v].size() ? v : u;
-  return std::find(shorter.begin(), shorter.end(), needle) != shorter.end();
-}
-
-Graph Graph::Builder::build() && { return Graph(std::move(adjacency_)); }
-
-Graph::Graph(std::vector<std::vector<NodeId>> adjacency) {
-  offsets_.reserve(adjacency.size() + 1);
-  offsets_.push_back(0);
-  std::size_t total = 0;
-  for (auto& list : adjacency) {
-    std::sort(list.begin(), list.end());
-    total += list.size();
-    offsets_.push_back(total);
-  }
-  neighbors_.reserve(total);
-  for (const auto& list : adjacency) {
-    neighbors_.insert(neighbors_.end(), list.begin(), list.end());
-  }
-}
-
 Graph Graph::from_edges(NodeId nodes, const std::vector<Edge>& edges) {
-  Builder builder(nodes);
+  Graph graph;
+  // Counting sort.  Each degree is counted two slots to the right of its
+  // node, so after the prefix sum offsets[v + 1] is where row v starts; it
+  // is row v's write cursor while the edges are placed, and ends where row
+  // v + 1 starts — the CSR offset.  The spare last slot is dropped after.
+  std::vector<std::size_t>& offsets = graph.offsets_;
+  offsets.assign(std::size_t{nodes} + 2, 0);
   for (const auto& [u, v] : edges) {
-    builder.add_edge(u, v);
+    ARL_EXPECTS(u < nodes && v < nodes, "edge endpoint out of range");
+    ARL_EXPECTS(u != v, "self loops are not allowed in a simple graph");
+    ++offsets[std::size_t{u} + 2];
+    ++offsets[std::size_t{v} + 2];
   }
-  return std::move(builder).build();
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<NodeId>& neighbors = graph.neighbors_;
+  neighbors.resize(offsets.back());
+  for (const auto& [u, v] : edges) {
+    neighbors[offsets[std::size_t{u} + 1]++] = v;
+    neighbors[offsets[std::size_t{v} + 1]++] = u;
+  }
+  offsets.pop_back();
+  // A row that is strictly increasing is sorted and free of parallel edges;
+  // only a row that is not gets sorted, which puts a parallel edge next to
+  // its twin.
+  for (NodeId v = 0; v < nodes; ++v) {
+    const auto begin = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
+    const auto end = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
+    if (std::adjacent_find(begin, end, std::greater_equal<>()) != end) {
+      std::sort(begin, end);
+      ARL_EXPECTS(std::adjacent_find(begin, end) == end,
+                  "parallel edges are not allowed in a simple graph");
+    }
+  }
+  return graph;
 }
 
 std::span<const NodeId> Graph::neighbors(NodeId v) const {

@@ -4,12 +4,15 @@
 /// Simple undirected graph with compact adjacency storage.
 ///
 /// Radio networks in the paper are simple undirected connected graphs; this
-/// type stores exactly that.  Construction goes through `Builder` (or an edge
-/// list), which validates simplicity (no self loops, no parallel edges).
-/// Neighbour lists are sorted, enabling O(log Δ) adjacency queries and
-/// deterministic iteration order — determinism matters because `Classifier`
-/// fixes "an arbitrary ordering of the vertices" and all our algorithms must
-/// replay identically.
+/// type stores exactly that.  The one way to build a non-empty graph is
+/// `Graph::from_edges`, which counting-sorts an edge list into the CSR arrays
+/// and validates simplicity on the way: an endpoint out of range or a self
+/// loop is rejected as the edges are counted, and a parallel edge, which
+/// lands next to its twin once each neighbour list is sorted, as the lists
+/// are checked.  Neighbour lists are sorted, enabling O(log Δ) adjacency
+/// queries and deterministic iteration order — determinism matters because
+/// `Classifier` fixes "an arbitrary ordering of the vertices" and all our
+/// algorithms must replay identically.
 
 #include <cstdint>
 #include <span>
@@ -28,31 +31,12 @@ using Edge = std::pair<NodeId, NodeId>;
 /// Immutable simple undirected graph.
 class Graph {
  public:
-  /// Incremental graph builder.
-  class Builder {
-   public:
-    /// Starts a builder for `nodes` isolated vertices.
-    explicit Builder(NodeId nodes);
-
-    /// Adds the undirected edge {u, v}. Requires u != v, both in range, and
-    /// the edge not already present.
-    Builder& add_edge(NodeId u, NodeId v);
-
-    /// True if {u, v} has been added.
-    [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
-    /// Finalizes into an immutable Graph.
-    [[nodiscard]] Graph build() &&;
-
-   private:
-    NodeId nodes_;
-    std::vector<std::vector<NodeId>> adjacency_;
-  };
-
   /// Empty graph (0 nodes).
   Graph() = default;
 
-  /// Builds from an explicit edge list over `nodes` vertices.
+  /// Builds the graph on `nodes` vertices with the given edges, in any order
+  /// and orientation.  Requires both endpoints of every edge in range, no
+  /// self loop and no edge given twice (as {u, v} or {v, u}).
   static Graph from_edges(NodeId nodes, const std::vector<Edge>& edges);
 
   /// Number of nodes.
@@ -82,8 +66,6 @@ class Graph {
   friend bool operator==(const Graph& a, const Graph& b) = default;
 
  private:
-  explicit Graph(std::vector<std::vector<NodeId>> adjacency);
-
   // CSR storage: neighbours of v are neighbors_[offsets_[v] .. offsets_[v+1]).
   std::vector<std::size_t> offsets_;
   std::vector<NodeId> neighbors_;

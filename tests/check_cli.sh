@@ -618,6 +618,15 @@ for flags in "--family=staggered --n=4294967299" "--family=random --sigma=429496
   "$cli" gen $flags >/dev/null 2>&1
   [ $? -eq 2 ] || fail "gen $flags should exit 2"
 done
+# single-hop builds K_n, so its n stops at 4096 in gen and in the workload
+# registry alike: a larger n is refused before any edge is built.  Under
+# `timeout`, a regression that builds the graph fails instead of hanging.
+for flags in "--family=single-hop --n=4097" "--family=single-hop --n=1000000"; do
+  timeout 20 "$cli" gen $flags >/dev/null 2>&1
+  [ $? -eq 2 ] || fail "gen $flags should exit 2"
+done
+timeout 20 "$cli" sweep --workload=single-hop:n=1000000,sigma=3 --count=1 >/dev/null 2>&1
+[ $? -eq 2 ] || fail "sweep --workload=single-hop:n=1000000,sigma=3 should exit 2"
 for value in -0 0x1p-2 1.5 abc ""; do
   rm -f "$tmpdir/p.txt"
   "$cli" sweep --n=6 --count=2 "--p=$value" --shard=0/1 --out="$tmpdir/p.txt" >/dev/null 2>&1

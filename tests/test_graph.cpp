@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/algorithms.hpp"
@@ -20,20 +21,68 @@ using arl::support::ContractViolation;
 
 // -------------------------------------------------------------- construction
 
-TEST(Graph, BuilderRejectsSelfLoops) {
-  graph::Graph::Builder builder(3);
-  EXPECT_THROW(builder.add_edge(1, 1), ContractViolation);
+TEST(Graph, FromEdgesRejectsSelfLoops) {
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{1, 1}}), ContractViolation);
 }
 
-TEST(Graph, BuilderRejectsParallelEdges) {
-  graph::Graph::Builder builder(3);
-  builder.add_edge(0, 1);
-  EXPECT_THROW(builder.add_edge(1, 0), ContractViolation);
+TEST(Graph, FromEdgesRejectsParallelEdges) {
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{0, 1}, {1, 0}}), ContractViolation);
+  // Reversed and far from its twin: the duplicate meets it only once the
+  // neighbour lists are sorted.
+  EXPECT_THROW((void)graph::Graph::from_edges(4, {{0, 1}, {2, 3}, {1, 0}}), ContractViolation);
 }
 
-TEST(Graph, BuilderRejectsOutOfRange) {
-  graph::Graph::Builder builder(3);
-  EXPECT_THROW(builder.add_edge(0, 3), ContractViolation);
+TEST(Graph, FromEdgesRejectsOutOfRange) {
+  EXPECT_THROW((void)graph::Graph::from_edges(3, {{0, 3}}), ContractViolation);
+}
+
+TEST(Graph, FromEdgesMatchesPerNodeSortReference) {
+  // The reference is the construction from_edges replaced: one list per
+  // node, each sorted, then concatenated.  Edge lists come in random order
+  // and orientation, and also in generator order with one extra edge
+  // appended at the end, which leaves the rows it touches unsorted (as
+  // config::with_random_extra_edge does).
+  const auto reference = [](graph::NodeId n, const std::vector<graph::Edge>& edges) {
+    std::vector<std::vector<graph::NodeId>> rows(n);
+    for (const auto& [u, v] : edges) {
+      rows[u].push_back(v);
+      rows[v].push_back(u);
+    }
+    for (auto& row : rows) {
+      std::sort(row.begin(), row.end());
+    }
+    return rows;
+  };
+  support::Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<graph::NodeId>(1 + rng.below(64));
+    std::vector<graph::Edge> edges;
+    std::vector<graph::Edge> missing;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      for (graph::NodeId v = u + 1; v < n; ++v) {
+        (rng.bernoulli(0.2) ? edges : missing).emplace_back(u, v);
+      }
+    }
+    if (trial % 2 == 0) {
+      rng.shuffle(edges);
+      for (auto& edge : edges) {
+        if (rng.bernoulli(0.5)) {
+          std::swap(edge.first, edge.second);
+        }
+      }
+    } else if (!missing.empty()) {
+      edges.push_back(rng.pick(missing));
+    }
+    const graph::Graph g = graph::Graph::from_edges(n, edges);
+    const auto rows = reference(n, edges);
+    ASSERT_EQ(g.node_count(), n);
+    EXPECT_EQ(g.edge_count(), edges.size());
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const auto row = g.neighbors(v);
+      EXPECT_EQ(std::vector<graph::NodeId>(row.begin(), row.end()), rows[v])
+          << "trial " << trial << ", node " << v;
+    }
+  }
 }
 
 TEST(Graph, NeighborsAreSortedAndSymmetric) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "config/families.hpp"
+#include "config/io.hpp"
 #include "core/quotient.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
@@ -102,6 +106,47 @@ TEST(Quotient, OrbitsPartitionTheNodeSet) {
       EXPECT_TRUE(seen[v]);
     }
     EXPECT_LE(report.quotient.node_count(), n);
+  }
+}
+
+TEST(Quotient, EdgesAreTheDistinctClassPairs) {
+  // Shapes where many graph edges fall on one class pair: a single-hop
+  // network with two tag values, cycles with tags in {0, 1} (alternating
+  // tags put every edge on one pair), and G(n,p) with sigma in {0, 1}.
+  support::Rng rng(18);
+  std::vector<config::Configuration> configurations;
+  for (graph::NodeId n = 2; n <= 12; ++n) {
+    std::vector<config::Tag> tags(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      tags[v] = v % 2;
+    }
+    configurations.push_back(config::single_hop(tags));
+    if (n >= 3) {
+      configurations.emplace_back(graph::cycle(n), tags);
+      configurations.push_back(config::random_tags(graph::cycle(n), 1, rng));
+    }
+    for (const config::Tag sigma : {config::Tag{0}, config::Tag{1}}) {
+      configurations.push_back(
+          config::random_tags_with_span(graph::gnp_connected(n, 0.4, rng), sigma, rng));
+    }
+  }
+  for (const config::Configuration& c : configurations) {
+    const core::SymmetryReport report = core::analyze_symmetry(c);
+    std::vector<graph::NodeId> orbit_of(c.size());
+    for (std::size_t index = 0; index < report.orbits.size(); ++index) {
+      for (const graph::NodeId v : report.orbits[index].members) {
+        orbit_of[v] = static_cast<graph::NodeId>(index);
+      }
+    }
+    std::set<graph::Edge> pairs;
+    for (const auto& [u, v] : c.graph().edges()) {
+      if (orbit_of[u] != orbit_of[v]) {
+        pairs.emplace(std::min(orbit_of[u], orbit_of[v]), std::max(orbit_of[u], orbit_of[v]));
+      }
+    }
+    EXPECT_EQ(report.quotient.node_count(), report.orbits.size());
+    EXPECT_EQ(report.quotient.edges(), std::vector<graph::Edge>(pairs.begin(), pairs.end()))
+        << config::to_text_string(c);
   }
 }
 

@@ -54,6 +54,7 @@ TEST(WorkloadRegistry, VariantSpecsRoundTripThroughParse) {
       "hypercube:d=3,sigma=2",
       "tree:n=17,sigma=2",
       "single-hop:n=6,sigma=5",
+      "single-hop:n=4096,sigma=5",
       "mutations:family-h",
       "mutations:grid:rows=2,cols=2,sigma=1",
       "mutations:random:n=5,p=0.5,sigma=2,model=nocd",
@@ -103,6 +104,7 @@ TEST(WorkloadRegistry, RejectsMalformedSpecs) {
       "random:n=1",           // exact positive span needs 2 nodes to stretch
       "tree:n=1",
       "single-hop:n=1,sigma=3",
+      "single-hop:n=4097",    // K_n past 4096 nodes
       "grid:rows=1,cols=1",
       "random:n=x",
       "random:p=2",           // out of [0, 1]

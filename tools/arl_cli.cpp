@@ -94,8 +94,9 @@ commands:
   gen        generate a configuration
                --family=h|g|s|staggered|single-hop|random  (default h)
                --m=N          family parameter, in [1, 1000000] (default 3)
-               --n=N          node count for staggered/single-hop/random,
-                              in [1, 1000000]              (default 8)
+               --n=N          node count for staggered/random, in
+                              [1, 1000000], and for single-hop, in
+                              [1, 4096]                    (default 8)
                --sigma=N      span for random, in [0, 1000000] (default 3)
                --p=X          edge probability for random, a decimal in
                               [0, 1]                       (default 0.3)
@@ -506,7 +507,10 @@ int cmd_gen(const support::Args& args) {
   static_cast<void>(args.get_int("m", 0));
   static_cast<void>(args.get_int("n", 0));
   const auto m = [&]() { return static_cast<config::Tag>(int_flag(args, "m", 3, 1, 1'000'000)); };
-  const auto n = [&]() { return static_cast<graph::NodeId>(int_flag(args, "n", 8, 1, 1'000'000)); };
+  // single-hop builds K_n, so its n stops at 4096 (8,386,560 edges).
+  const auto n = [&](std::int64_t max = 1'000'000) {
+    return static_cast<graph::NodeId>(int_flag(args, "n", 8, 1, max));
+  };
   std::optional<config::Configuration> generated;
   if (family == "h") {
     generated = config::family_h(m());
@@ -517,7 +521,7 @@ int cmd_gen(const support::Args& args) {
   } else if (family == "staggered") {
     generated = config::staggered_path(n());
   } else if (family == "single-hop") {
-    std::vector<config::Tag> tags(n());
+    std::vector<config::Tag> tags(n(4096));
     std::iota(tags.begin(), tags.end(), config::Tag{0});
     generated = config::single_hop(tags);
   } else if (family == "random") {
