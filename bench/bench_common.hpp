@@ -20,6 +20,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "engine/batch_runner.hpp"
 #include "engine/schedule_cache.hpp"
@@ -72,6 +73,12 @@ class JsonSnapshot : public obs::JsonSnapshot {
   /// silently, because a missing snapshot reads as "no data" downstream.
   void write(const std::string& name) const { write_file(flags().json_out + "/" + name); }
 };
+
+/// The median of `values` (an odd count).
+inline double median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2, values.end());
+  return values[values.size() / 2];
+}
 
 /// One engine's cache-warm cost on a fixed job set.
 struct SteadyRun {

@@ -1,9 +1,10 @@
 /// \file bench_obs.cpp
 /// E8 — observability overhead: the same classification+election sweep runs
-/// with the metrics registry enabled (the default) and disabled, best of
-/// three timed passes each.  The tracked perf invariant is the on/off
-/// throughput ratio (BENCH_E8.json, gated in CI by tools/bench_gate with
-/// --tolerance=0.03): instrumentation may cost at most the gate tolerance.
+/// with the metrics registry enabled (the default) and disabled, in 41
+/// adjacent off/on pass pairs.  The tracked perf invariant is the median of
+/// the per-pair off/on wall-time ratios (BENCH_E8.json, gated in CI by
+/// tools/bench_gate with --tolerance=0.03): instrumentation may cost at most
+/// the gate tolerance.
 /// The instrumented pass also pins down the phase span *counts*, which are
 /// workload facts — deterministic at threads=1 — and therefore exact-match
 /// gated; wall times are machine facts, printed but not gated.
@@ -13,6 +14,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "engine/batch_runner.hpp"
@@ -28,7 +30,7 @@ using namespace arl;
 constexpr const char* kWorkload = "random:n=24,p=0.25,sigma=6";
 constexpr std::uint64_t kCount = 300;  // configurations
 constexpr std::uint64_t kSeed = 9;
-constexpr int kRepeats = 5;  // best-of per mode, arms interleaved
+constexpr int kPairs = 41;  // adjacent off/on passes; the gate reads the median ratio
 
 engine::CountedSweep e8_sweep() {
   return engine::parse_workload(kWorkload).instantiate(
@@ -59,20 +61,33 @@ void print_e8_table() {
   engine::BatchReport warmup;
   (void)one_pass_ms(true, warmup);
 
-  // The arms alternate pass-by-pass so slow drift on a shared machine (CPU
-  // frequency, background load) hits both equally instead of whichever arm
-  // happened to run second; best-of-kRepeats per arm then drops the noise.
+  // Each pair times the two arms back to back, so slow drift on a shared
+  // machine (CPU frequency, background load) hits both alike, and which arm
+  // runs first alternates pair by pair, so neither always runs second.  The
+  // median of the per-pair ratios then drops the pairs a burst of noise
+  // hit.
   engine::BatchReport off_report;
   engine::BatchReport on_report;
-  double off_ms = 0.0;
-  double on_ms = 0.0;
-  for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    const double off = one_pass_ms(false, off_report);
-    const double on = one_pass_ms(true, on_report);
-    off_ms = repeat == 0 ? off : std::min(off_ms, off);
-    on_ms = repeat == 0 ? on : std::min(on_ms, on);
+  std::vector<double> off_times;
+  std::vector<double> on_times;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double off = 0.0;
+    double on = 0.0;
+    if (pair % 2 == 0) {
+      off = one_pass_ms(false, off_report);
+      on = one_pass_ms(true, on_report);
+    } else {
+      on = one_pass_ms(true, on_report);
+      off = one_pass_ms(false, off_report);
+    }
+    off_times.push_back(off);
+    on_times.push_back(on);
+    ratios.push_back(on > 0.0 ? off / on : 1.0);
   }
   obs::Registry::global().set_enabled(true);  // restore the process default
+  const double off_ms = benchsupport::median(off_times);
+  const double on_ms = benchsupport::median(on_times);
 
   const bool identical = engine::same_results(on_report, off_report);
   if (!on_report.phases || off_report.phases) {
@@ -80,13 +95,13 @@ void print_e8_table() {
         "bench_obs: expected phase timings exactly on the instrumented run");
   }
   const obs::MetricsSnapshot& phases = *on_report.phases;
-  const double raw_speedup = on_ms > 0.0 ? off_ms / on_ms : 1.0;
+  const double raw_speedup = benchsupport::median(ratios);
   // The committed invariant is "metrics cost at most the gate tolerance",
   // not "this machine ran faster with metrics on today" — clamp the gated
   // ratio at 1.0 so a lucky committed run cannot tighten the gate.
   const double gated_speedup = std::min(raw_speedup, 1.0);
 
-  support::Table table({"mode", "wall ms (best of 3)", "jobs", "jobs/s"});
+  support::Table table({"mode", "wall ms (median of 41)", "jobs", "jobs/s"});
   const auto row = [&](const std::string& mode, double ms, const engine::BatchReport& r) {
     table.add_row({mode, ms, static_cast<std::int64_t>(r.jobs.size()),
                    static_cast<double>(r.jobs.size()) / (ms / 1e3)});
@@ -108,7 +123,7 @@ void print_e8_table() {
                    static_cast<double>(histogram.total) / 1e6});
   }
   benchsupport::print_table("E8: instrumented phase spans (one sweep)", spans);
-  std::cout << "\nmetrics-on throughput ratio: " << raw_speedup
+  std::cout << "\nmetrics-on throughput ratio (median of " << kPairs << " pairs): " << raw_speedup
             << " (1.0 = free); outcomes identical: " << (identical ? "yes" : "no") << "\n";
 
   benchsupport::JsonSnapshot snapshot;

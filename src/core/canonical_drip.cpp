@@ -18,7 +18,17 @@ CanonicalDrip::CanonicalDrip(std::shared_ptr<const CanonicalSchedule> schedule,
 
 std::unique_ptr<radio::NodeProgram> CanonicalDrip::instantiate(const radio::NodeEnv&) const {
   // Anonymous and deterministic: the environment (labels, coins) is ignored.
-  return std::make_unique<CanonicalProgram>(schedule_, policy_);
+  return std::make_unique<CanonicalProgram>(*schedule_, policy_);
+}
+
+void CanonicalDrip::instantiate_into(std::unique_ptr<radio::NodeProgram>& slot,
+                                     const radio::NodeEnv& env) const {
+  // CanonicalProgram is final, so the cast is an exact-type check.
+  if (auto* program = dynamic_cast<CanonicalProgram*>(slot.get())) {
+    *program = CanonicalProgram(*schedule_, policy_);
+  } else {
+    slot = instantiate(env);
+  }
 }
 
 std::string CanonicalDrip::name() const {
@@ -29,9 +39,8 @@ std::optional<std::size_t> CanonicalDrip::history_window() const {
   return schedule_->suggested_window();
 }
 
-CanonicalProgram::CanonicalProgram(std::shared_ptr<const CanonicalSchedule> schedule,
-                                   MismatchPolicy policy)
-    : schedule_(std::move(schedule)), policy_(policy) {}
+CanonicalProgram::CanonicalProgram(const CanonicalSchedule& schedule, MismatchPolicy policy)
+    : schedule_(&schedule), policy_(policy) {}
 
 void CanonicalProgram::fail(const char* reason) {
   if (policy_ == MismatchPolicy::Strict) {
@@ -40,36 +49,28 @@ void CanonicalProgram::fail(const char* reason) {
   failed_ = true;
 }
 
-Label CanonicalProgram::build_observed_label(std::size_t phase_index,
-                                             const radio::HistoryView& history) {
-  const CanonicalSchedule& s = *schedule_;
-  const PhaseSpec& phase = s.phases[phase_index];
-  const std::uint64_t block_len = s.block_length();
-  const std::uint64_t blocks_span = phase.num_classes * block_len;
+std::uint64_t CanonicalProgram::trailing_round() const {
+  return base_ + schedule_->phases[phase_].num_classes * schedule_->block_length() + 1;
+}
+
+std::size_t CanonicalProgram::check_phase(const radio::HistoryView& history) {
   const auto first = static_cast<std::size_t>(base_ + 1);
-  const auto trailing = static_cast<std::size_t>(base_ + blocks_span + 1);
-  const auto end = static_cast<std::size_t>(base_ + s.phase_length(phase_index) + 1);
+  const auto trailing = static_cast<std::size_t>(trailing_round());
+  const auto end = static_cast<std::size_t>(base_ + schedule_->phase_length(phase_) + 1);
 
   // Every non-silent entry of the transmission blocks is one label triple;
   // silent rounds contribute nothing, so only the events are walked.
-  Label observed;
+  std::size_t triples = 0;
   bool foreign_payload = false;
-  history.for_each_event(first, trailing, [&](std::size_t t, radio::HistoryEntry entry) {
-    const std::uint64_t offset = t - base_;
-    const auto block = static_cast<ClassId>((offset - 1) / block_len + 1);
-    const auto round = static_cast<std::uint32_t>((offset - 1) % block_len + 1);
-    if (entry.is_message() && entry.payload() != kCanonicalPayload) {
-      foreign_payload = true;
-      return false;
-    }
-    observed.push_back(LabelTriple{block, round, entry.is_collision()});
-    return true;
+  history.for_each_event(first, trailing, [&](std::size_t, radio::HistoryEntry entry) {
+    foreign_payload = entry.is_message() && entry.payload() != kCanonicalPayload;
+    triples += foreign_payload ? 0 : 1;
+    return !foreign_payload;
   });
   if (foreign_payload) {
     fail("received a non-canonical payload");
-    return observed;
+    return triples;
   }
-  // Generated in increasing (block, round) order, hence already ≺hist-sorted.
 
   // Lemma 3.7: the σ trailing rounds of a phase are silent in a
   // schedule-conformant execution.
@@ -81,7 +82,32 @@ Label CanonicalProgram::build_observed_label(std::size_t phase_index,
   if (noisy) {
     fail("noise in the trailing sigma rounds of a phase");
   }
-  return observed;
+  return triples;
+}
+
+bool CanonicalProgram::observed_equals(const Label& label, std::size_t observed_size,
+                                       const radio::HistoryView& history) const {
+  if (label.size() != observed_size) {
+    return false;
+  }
+  // The triples come in increasing (block, round) order, hence ≺hist-sorted
+  // like `label`.
+  const std::uint64_t block_len = schedule_->block_length();
+  std::size_t matched = 0;
+  history.for_each_event(
+      static_cast<std::size_t>(base_ + 1), static_cast<std::size_t>(trailing_round()),
+      [&](std::size_t t, radio::HistoryEntry entry) {
+        const std::uint64_t offset = t - base_;
+        const LabelTriple observed{static_cast<ClassId>((offset - 1) / block_len + 1),
+                                   static_cast<std::uint32_t>((offset - 1) % block_len + 1),
+                                   entry.is_collision()};
+        if (observed != label[matched]) {
+          return false;
+        }
+        ++matched;
+        return true;
+      });
+  return matched == label.size();
 }
 
 radio::Action CanonicalProgram::decide(config::Round local_round,
@@ -106,31 +132,30 @@ radio::Action CanonicalProgram::decide(config::Round local_round,
 
   // Phase boundary: the previous phase filled rounds base_+1 .. base_+len.
   if (i > base_ + s.phase_length(phase_)) {
-    Label observed = build_observed_label(phase_, history);
+    const std::size_t observed = check_phase(history);
     if (failed_) {
       done_ = true;
       return radio::Action::terminate();
     }
-    base_ += s.phase_length(phase_);
-    ++phase_;
 
-    if (phase_ == s.phases.size()) {
+    if (phase_ + 1 == s.phases.size()) {
       // L_{T+1} = "terminate": all nodes stop in the same local round.
       // Decision function f: leader iff the last-phase signature matches
       // the singleton class Classifier found.
       if (s.feasible) {
-        elected_ = (tblock_ == s.leader_old_class && observed == s.leader_label);
+        elected_ = tblock_ == s.leader_old_class &&
+                   observed_equals(s.leader_label, observed, history);
       }
       done_ = true;
       return radio::Action::terminate();
     }
 
     // Match (old tBlock, observed label) against the next list L_{j+1}.
-    const PhaseSpec& next = s.phases[phase_];
+    const PhaseSpec& next = s.phases[phase_ + 1];
     ClassId matched = 0;
     for (ClassId k = 1; k <= next.num_classes; ++k) {
       const PhaseEntry& entry = next.entries[k - 1];
-      if (entry.old_class == tblock_ && entry.label == observed) {
+      if (entry.old_class == tblock_ && observed_equals(entry.label, observed, history)) {
         if (policy_ == MismatchPolicy::Strict) {
           ARL_ASSERT(matched == 0, "list entry match must be unique (Lemma 3.8)");
         }
@@ -145,6 +170,8 @@ radio::Action CanonicalProgram::decide(config::Round local_round,
       done_ = true;
       return radio::Action::terminate();
     }
+    base_ += s.phase_length(phase_);
+    ++phase_;
     tblock_ = matched;
   }
 

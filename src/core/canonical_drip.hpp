@@ -41,12 +41,19 @@ enum class MismatchPolicy : std::uint8_t {
 /// The canonical protocol for one compiled schedule.
 class CanonicalDrip final : public radio::Drip {
  public:
-  /// Shares ownership of the schedule across all node programs.
+  /// Shares ownership of the schedule; the node programs refer to it.
   explicit CanonicalDrip(std::shared_ptr<const CanonicalSchedule> schedule,
                          MismatchPolicy policy = MismatchPolicy::Strict);
 
   [[nodiscard]] std::unique_ptr<radio::NodeProgram> instantiate(
       const radio::NodeEnv& env) const override;
+
+  /// Overwrites a CanonicalProgram already in `slot` (of this drip or
+  /// another) with a fresh one instead of allocating; any other slot
+  /// content is replaced.
+  void instantiate_into(std::unique_ptr<radio::NodeProgram>& slot,
+                        const radio::NodeEnv& env) const override;
+
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::optional<std::size_t> history_window() const override;
 
@@ -58,10 +65,14 @@ class CanonicalDrip final : public radio::Drip {
   MismatchPolicy policy_;
 };
 
-/// Program state exposed for post-run inspection by experiments.
+/// Program state exposed for post-run inspection by experiments.  The
+/// program refers to the schedule its drip owns, so the drip must outlive it
+/// (as radio::Simulator already requires of a run's drip), and allocates
+/// nothing after construction: a phase's observed label is compared with
+/// the schedule's labels where it lies, in the history.
 class CanonicalProgram final : public radio::NodeProgram {
  public:
-  CanonicalProgram(std::shared_ptr<const CanonicalSchedule> schedule, MismatchPolicy policy);
+  CanonicalProgram(const CanonicalSchedule& schedule, MismatchPolicy policy);
 
   radio::Action decide(config::Round local_round, const radio::HistoryView& history) override;
 
@@ -82,16 +93,27 @@ class CanonicalProgram final : public radio::NodeProgram {
   [[nodiscard]] ClassId transmission_block() const { return tblock_; }
 
  private:
-  /// Reconstructs the label the Partitioner would assign from the just-
-  /// finished phase's observations; flags schedule violations.  Walks only
-  /// the phase's non-silent entries.
-  [[nodiscard]] Label build_observed_label(std::size_t phase_index,
-                                           const radio::HistoryView& history);
+  /// First local round of the current phase's σ trailing rounds.
+  [[nodiscard]] std::uint64_t trailing_round() const;
+
+  /// Checks the just-finished phase's observations against what a
+  /// schedule-conformant execution produces — only the canonical payload,
+  /// and silence in the σ trailing rounds (Lemma 3.7) — and flags a
+  /// violation.  Returns the size of the phase's observed label, the label
+  /// the Partitioner would assign: one triple per non-silent round of the
+  /// transmission blocks.  Walks only the phase's non-silent entries.
+  [[nodiscard]] std::size_t check_phase(const radio::HistoryView& history);
+
+  /// True when the just-finished phase's observed label, of `observed_size`
+  /// triples, equals `label`: compared triple by triple over the phase's
+  /// non-silent entries, without building it.
+  [[nodiscard]] bool observed_equals(const Label& label, std::size_t observed_size,
+                                     const radio::HistoryView& history) const;
 
   /// Handles a schedule violation according to the policy.
   void fail(const char* reason);
 
-  std::shared_ptr<const CanonicalSchedule> schedule_;
+  const CanonicalSchedule* schedule_;
   MismatchPolicy policy_;
   std::size_t phase_ = 0;        ///< index of the phase currently executing
   std::uint64_t base_ = 0;       ///< local round before the current phase (r_{j-1})

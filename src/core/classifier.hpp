@@ -14,8 +14,9 @@
 ///
 /// One loop (`classify`) runs Algorithm 4 for every classifier; only
 /// Algorithm 2 (Refine) varies.  Production refines through hashed
-/// (old class, label) buckets; the paper's rep scan is kept as the
-/// reference the hashed form is tested against.
+/// (old class, label) buckets, one open-addressing array per run; the
+/// paper's rep scan is kept as the reference the hashed form is tested
+/// against.
 
 #include <cstdint>
 #include <vector>
@@ -39,8 +40,9 @@ struct IterationRecord {
   /// vCLASS,j+1 when this is iteration j).
   std::vector<ClassId> clazz;
 
-  /// Label assigned to each node during this iteration (the paper's vLBL).
-  std::vector<Label> labels;
+  /// Label assigned to each node during this iteration (the paper's vLBL),
+  /// one row per node.
+  LabelTable labels;
 
   /// reps[k-1] = representative node of class k at the end of the iteration.
   std::vector<graph::NodeId> reps;
@@ -89,6 +91,10 @@ struct ClassifierResult {
 
   /// Number of classes at the end of iteration j (j = 0 → 1).
   [[nodiscard]] ClassId num_classes_after(std::uint32_t j) const;
+
+  /// Class of node v at the end of iteration j (j = 0 → 1), without
+  /// copying the partition.
+  [[nodiscard]] ClassId class_after(std::uint32_t j, graph::NodeId v) const;
 };
 
 /// How Algorithm 2 (Refine) sorts nodes into classes, and what it charges

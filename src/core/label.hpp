@@ -9,9 +9,15 @@
 /// is the local round within that block where v hears w, and `c` records
 /// whether exactly one (1) or several (∗) neighbours land on that (a, b) slot.
 /// Triples are ordered by the paper's ≺hist (Definition 3.1).
+///
+/// An iteration labels every node, so the Classifier keeps one iteration's
+/// labels in a flat `LabelTable` (two allocations, not one per node); a
+/// `Label` is the owning form of a single label, as schedules store them.
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +40,38 @@ struct LabelTriple {
 /// A node label: triples sorted by ≺hist.  The empty label is the paper's
 /// `null`.
 using Label = std::vector<LabelTriple>;
+
+/// The labels of every node of one Partitioner iteration, stored flat: all
+/// triples back to back, node v's label being triples[offsets[v] ..
+/// offsets[v+1]).  Built row by row: reset(), then each row's triples
+/// appended to `triples` and closed by end_row().
+struct LabelTable {
+  std::vector<LabelTriple> triples;  ///< every label, in node order
+  std::vector<std::size_t> offsets;  ///< n+1 row bounds (empty: no rows yet)
+
+  /// Empties the table, with room for `rows` rows holding `capacity`
+  /// triples in all.
+  void reset(std::size_t rows, std::size_t capacity) {
+    triples.clear();
+    triples.reserve(capacity);
+    offsets.clear();
+    offsets.reserve(rows + 1);
+    offsets.push_back(0);
+  }
+
+  /// Closes the row whose triples were appended since the previous one.
+  void end_row() { offsets.push_back(triples.size()); }
+
+  /// Number of rows (nodes).
+  [[nodiscard]] std::size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+
+  /// Node v's label.
+  [[nodiscard]] std::span<const LabelTriple> operator[](std::size_t v) const {
+    return std::span<const LabelTriple>(triples).subspan(offsets[v], offsets[v + 1] - offsets[v]);
+  }
+
+  friend bool operator==(const LabelTable& a, const LabelTable& b) = default;
+};
 
 /// Renders a label as "(a,b,1)(a,b,*)..." ("null" when empty).
 [[nodiscard]] std::string format_label(const Label& label);

@@ -6,9 +6,9 @@
 
 namespace arl::core {
 
-std::vector<Label> compute_labels(const config::Configuration& configuration,
-                                  const std::vector<ClassId>& clazz, std::uint64_t* steps,
-                                  radio::ChannelModel model) {
+LabelTable compute_labels(const config::Configuration& configuration,
+                          const std::vector<ClassId>& clazz, std::uint64_t* steps,
+                          radio::ChannelModel model) {
   const graph::Graph& graph = configuration.graph();
   const graph::NodeId n = graph.node_count();
   ARL_EXPECTS(clazz.size() == n, "one class per node required");
@@ -16,13 +16,14 @@ std::vector<Label> compute_labels(const config::Configuration& configuration,
   const std::vector<config::Tag>& tags = configuration.tags();
 
   std::uint64_t ops = 0;
-  std::vector<Label> labels(n);
+  LabelTable labels;
+  labels.reset(n, 2 * graph.edge_count());  // at most one triple per neighbour
+  std::vector<LabelTriple>& triples = labels.triples;
   for (graph::NodeId v = 0; v < n; ++v) {
-    Label& list = labels[v];
-    const auto neighbors = graph.neighbors(v);
-    list.reserve(neighbors.size());  // at most one triple per neighbour
+    // v's row is the tail triples[row ..], built in place.
+    const auto row = static_cast<std::ptrdiff_t>(triples.size());
     const auto tv = static_cast<std::int64_t>(tags[v]);
-    for (const graph::NodeId w : neighbors) {
+    for (const graph::NodeId w : graph.neighbors(v)) {
       const auto tw = static_cast<std::int64_t>(tags[w]);
       if (clazz[w] == clazz[v] && tw == tv) {
         // v and w would transmit simultaneously: v neither receives w's
@@ -31,24 +32,27 @@ std::vector<Label> compute_labels(const config::Configuration& configuration,
       }
       const auto round = static_cast<std::uint32_t>(sigma + 1 + tw - tv);
       bool fresh = true;
-      for (auto& triple : list) {
+      for (auto triple = triples.begin() + row; triple != triples.end(); ++triple) {
         ++ops;
-        if (triple.cls == clazz[w] && triple.round == round) {
-          triple.star = true;  // second transmitter on the same slot → (∗)
+        if (triple->cls == clazz[w] && triple->round == round) {
+          triple->star = true;  // second transmitter on the same slot → (∗)
           fresh = false;
           break;
         }
       }
       if (fresh) {
-        list.push_back(LabelTriple{clazz[w], round, false});
+        triples.push_back(LabelTriple{clazz[w], round, false});
       }
     }
     if (model == radio::ChannelModel::NoCollisionDetection) {
       // Collided slots read as silence: erase the starred triples.
-      std::erase_if(list, [](const LabelTriple& triple) { return triple.star; });
+      triples.erase(std::remove_if(triples.begin() + row, triples.end(),
+                                   [](const LabelTriple& triple) { return triple.star; }),
+                    triples.end());
     }
-    std::sort(list.begin(), list.end());
-    ops += list.size();
+    std::sort(triples.begin() + row, triples.end());
+    ops += triples.size() - static_cast<std::size_t>(row);
+    labels.end_row();
   }
   if (steps != nullptr) {
     *steps += ops;

@@ -19,7 +19,8 @@ namespace arl::core {
 /// Computes the label of every node per Algorithm 3 lines 1-22: for each
 /// neighbour w of v with (class(w) != class(v) or t_w != t_v), the triple
 /// (class(w), σ+1+t_w-t_v, ·) joins v's label, with c = ∗ when two or more
-/// neighbours produce the same (a, b).  Labels come out ≺hist-sorted.
+/// neighbours produce the same (a, b).  Labels come out ≺hist-sorted, one
+/// row per node, written straight into the table's flat storage.
 /// `steps`, when non-null, accumulates the basic-operation count (triple
 /// comparisons + sort work) for complexity instrumentation.
 ///
@@ -27,7 +28,7 @@ namespace arl::core {
 /// slot with two or more transmitters is heard as silence, so such (a, b)
 /// slots are dropped from the label instead of being starred — the label is
 /// exactly what a no-CD listener can know about the phase.
-[[nodiscard]] std::vector<Label> compute_labels(
+[[nodiscard]] LabelTable compute_labels(
     const config::Configuration& configuration, const std::vector<ClassId>& clazz,
     std::uint64_t* steps = nullptr,
     radio::ChannelModel model = radio::ChannelModel::CollisionDetection);

@@ -1,6 +1,7 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "support/assert.hpp"
 
@@ -48,13 +49,14 @@ CanonicalSchedule build_schedule(const config::Configuration& configuration,
   // assigned during iteration j-1.
   for (std::uint32_t j = 2; j <= exit_iteration; ++j) {
     const IterationRecord& record = classification.records[j - 2];
-    const std::vector<ClassId> previous = classification.classes_after(j - 2);
     PhaseSpec& phase = schedule.phases[j - 1];
     phase.num_classes = record.num_classes;
     phase.entries.reserve(record.num_classes);
     for (ClassId k = 1; k <= record.num_classes; ++k) {
       const graph::NodeId rep = record.reps[k - 1];
-      phase.entries.push_back(PhaseEntry{previous[rep], record.labels[rep]});
+      const std::span<const LabelTriple> label = record.labels[rep];
+      phase.entries.push_back(
+          PhaseEntry{classification.class_after(j - 2, rep), Label(label.begin(), label.end())});
     }
   }
 
@@ -63,8 +65,10 @@ CanonicalSchedule build_schedule(const config::Configuration& configuration,
     // The leader signature is the (old class, label) pair that would single
     // the leader out when matching the never-executed list L_{T+1}.
     const graph::NodeId leader = classification.leader;
-    schedule.leader_old_class = classification.classes_after(exit_iteration - 1)[leader];
-    schedule.leader_label = classification.records[exit_iteration - 1].labels[leader];
+    schedule.leader_old_class = classification.class_after(exit_iteration - 1, leader);
+    const std::span<const LabelTriple> label =
+        classification.records[exit_iteration - 1].labels[leader];
+    schedule.leader_label.assign(label.begin(), label.end());
   }
   return schedule;
 }

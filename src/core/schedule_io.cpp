@@ -3,6 +3,7 @@
 #include <charconv>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -15,7 +16,7 @@ namespace arl::core {
 
 namespace {
 
-void write_label(const Label& label, std::ostream& out) {
+void write_label(std::span<const LabelTriple> label, std::ostream& out) {
   out << ' ' << label.size();
   for (const auto& triple : label) {
     out << ' ' << triple.cls << ' ' << triple.round << ' ' << (triple.star ? '*' : '1');
@@ -25,15 +26,16 @@ void write_label(const Label& label, std::ostream& out) {
 using support::next_content_line;
 using support::TokenCursor;
 
-/// Reads a label (` <count> <cls round star>*`) from the cursor's position.
-/// The per-node label lines dominate artifact parsing — scanning them with
-/// std::from_chars instead of one istringstream extraction per token is
-/// what keeps a store preload cheaper than re-classifying.
-Label read_label(TokenCursor& in) {
+/// Reads a label (` <count> <cls round star>*`) from the cursor's position
+/// and appends its triples to `out`: a Label of its own, or the next row of
+/// a LabelTable.  The per-node label lines dominate artifact parsing —
+/// scanning them with std::from_chars instead of one istringstream
+/// extraction per token is what keeps a store preload cheaper than
+/// re-classifying.
+void read_label(TokenCursor& in, std::vector<LabelTriple>& out) {
   std::size_t count = 0;
   ARL_EXPECTS(in.next_number(count), "malformed label length");
-  Label label;
-  label.reserve(count);
+  const std::size_t row = out.size();
   std::string_view star;
   for (std::size_t i = 0; i < count; ++i) {
     LabelTriple triple;
@@ -41,10 +43,9 @@ Label read_label(TokenCursor& in) {
                     (star == "1" || star == "*"),
                 "malformed label triple");
     triple.star = star == "*";
-    ARL_EXPECTS(label.empty() || label.back() < triple, "label triples must be ≺hist-sorted");
-    label.push_back(triple);
+    ARL_EXPECTS(out.size() == row || out.back() < triple, "label triples must be ≺hist-sorted");
+    out.push_back(triple);
   }
-  return label;
 }
 
 }  // namespace
@@ -120,7 +121,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
     ARL_EXPECTS(cursor.next(token) && token == "leader" &&
                     cursor.next_number(schedule.leader_old_class),
                 "malformed 'leader' line");
-    schedule.leader_label = read_label(cursor);
+    read_label(cursor, schedule.leader_label);
   }
 
   std::size_t phase_count = 0;
@@ -150,7 +151,7 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
       PhaseEntry entry;
       ARL_EXPECTS(cursor.next(token) && token == "entry" && cursor.next_number(entry.old_class),
                   "malformed 'entry' line");
-      entry.label = read_label(cursor);
+      read_label(cursor, entry.label);
       phase.entries.push_back(std::move(entry));
     }
     schedule.phases.push_back(std::move(phase));
@@ -171,7 +172,7 @@ CanonicalSchedule schedule_from_text_string(const std::string& text) {
 
 namespace {
 
-void absorb_label(support::Hash64& hash, const Label& label) {
+void absorb_label(support::Hash64& hash, std::span<const LabelTriple> label) {
   hash.absorb(label.size());
   for (const LabelTriple& triple : label) {
     hash.absorb(triple.cls);
@@ -199,9 +200,9 @@ void classification_to_text(const ClassifierResult& result, std::ostream& out) {
       out << ' ' << cls;
     }
     out << '\n';
-    for (const Label& label : record.labels) {
+    for (std::size_t v = 0; v < record.labels.size(); ++v) {
       out << "label";
-      write_label(label, out);
+      write_label(record.labels[v], out);
       out << '\n';
     }
     out << "reps";
@@ -304,13 +305,14 @@ ClassifierResult classification_from_text(std::istream& in) {
       }
     }
 
-    record.labels.reserve(n);
+    record.labels.reset(n, 0);
     for (std::size_t v = 0; v < n; ++v) {
       ARL_EXPECTS(next_content_line(in, line), "missing 'label' line");
       TokenCursor cursor(line);
       std::string_view token;
       ARL_EXPECTS(cursor.next(token) && token == "label", "malformed 'label' line");
-      record.labels.push_back(read_label(cursor));
+      read_label(cursor, record.labels.triples);
+      record.labels.end_row();
     }
 
     ARL_EXPECTS(next_content_line(in, line), "missing 'reps' line");
@@ -356,8 +358,8 @@ std::uint64_t classification_fingerprint(const ClassifierResult& result) {
     for (const ClassId cls : record.clazz) {
       hash.absorb(cls);
     }
-    for (const Label& label : record.labels) {
-      absorb_label(hash, label);
+    for (std::size_t v = 0; v < record.labels.size(); ++v) {
+      absorb_label(hash, record.labels[v]);
     }
     for (const graph::NodeId rep : record.reps) {
       hash.absorb(rep);

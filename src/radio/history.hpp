@@ -13,15 +13,17 @@
 ///
 /// A view reads one of two stores.  The dense store (`History`) holds every
 /// retained entry; the scalar reference loop and the patient wrapper keep
-/// it.  The sparse store (`SparseHistory`) holds only the non-silent
-/// entries as (index, entry) pairs, with the length and the window's first
-/// retained index alongside; the event-driven simulator keeps it, because a
-/// canonical execution is almost all silence.  Both answer every query the
-/// same way: silence in the gaps, the same out-of-window trap.
+/// it.  The sparse store (a run of `HistoryEvent`s, such as a
+/// `SparseHistory`) holds only the non-silent entries as (index, entry)
+/// pairs, with the length and the window's first retained index alongside;
+/// the event-driven simulator keeps one per node, all in one arena, because
+/// a canonical execution is almost all silence.  Both answer every query
+/// the same way: silence in the gaps, the same out-of-window trap.
 
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +67,7 @@ class HistoryView {
   /// Sparse: views H[0..length-1] whose non-silent entries are `events`.
   /// Entries below `first_kept` trap as out of window (events there may
   /// linger in the store; they are never read).
-  HistoryView(const SparseHistory& events, std::size_t length, std::size_t first_kept)
+  HistoryView(std::span<const HistoryEvent> events, std::size_t length, std::size_t first_kept)
       : events_(events.data()),
         event_count_(events.size()),
         sparse_(true),

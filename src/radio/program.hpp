@@ -95,6 +95,15 @@ class Drip {
   /// Creates the program for one node.
   [[nodiscard]] virtual std::unique_ptr<NodeProgram> instantiate(const NodeEnv& env) const = 0;
 
+  /// Puts a fresh program for one node into `slot`, which may hold a program
+  /// of an earlier run (of any drip) or nothing.  A drip may reuse a program
+  /// of its own type in place instead of allocating; afterwards the slot
+  /// must behave exactly as `instantiate(env)` would.  The default assigns
+  /// instantiate(env).
+  virtual void instantiate_into(std::unique_ptr<NodeProgram>& slot, const NodeEnv& env) const {
+    slot = instantiate(env);
+  }
+
   /// Human-readable protocol name (for traces and reports).
   [[nodiscard]] virtual std::string name() const = 0;
 

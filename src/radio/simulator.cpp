@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -403,24 +404,23 @@ RunResult Simulator::run_event(SimulatorScratch& s) const {
     }
   }
 
-  // Programs are stateful and re-instantiated; the history stores keep
-  // their capacity across runs.
-  s.programs_.resize(n);
+  // Programs are stateful and re-instantiated into a pool whose slots the
+  // drip may reuse in place; the pool and the history arena keep their
+  // capacity across runs.
+  if (s.programs_.size() < n) {
+    s.programs_.resize(n);
+  }
   for (graph::NodeId v = 0; v < n; ++v) {
     NodeEnv env;
     env.coin_seed = s.coin_seeds_[v];
     if (!options_.labels.empty()) {
       env.label = options_.labels[v];
     }
-    s.programs_[v] = drip_.instantiate(env);
+    drip_.instantiate_into(s.programs_[v], env);
     ARL_ENSURES(s.programs_[v] != nullptr, "drip must produce a program");
   }
-  if (s.histories_.size() < n) {
-    s.histories_.resize(n);
-  }
-  for (graph::NodeId v = 0; v < n; ++v) {
-    s.histories_[v].clear();
-  }
+  s.events_.clear();
+  s.segments_.assign(n, {});
   s.phase_.assign(n, kAsleep);
   s.wake_round_.assign(n, 0);
   s.forced_.assign(n, 0);
@@ -457,19 +457,35 @@ RunResult Simulator::run_event(SimulatorScratch& s) const {
   RunResult result;
   result.nodes.resize(n);
 
-  // Records a non-silent H[index].  Under a window, events the window has
-  // evicted are pruned once they outnumber the retained span, which keeps
-  // the store O(window) at amortized O(1) per event.
+  // Records a non-silent H[index].  A full segment moves to the arena's
+  // end with twice the room.  Under a window, events the window has evicted
+  // are pruned once they outnumber the retained span, which keeps a segment
+  // O(window) at amortized O(1) per event.
   auto record = [&](graph::NodeId v, std::size_t index, HistoryEntry entry) {
-    SparseHistory& events = s.histories_[v];
-    events.push_back({index, entry});
-    if (window && events.size() > 4 * *window + 2) {
+    SimulatorScratch::Segment& segment = s.segments_[v];
+    if (segment.size == segment.capacity) {
+      const std::size_t begin = s.events_.size();
+      segment.capacity = std::max<std::size_t>(4, 2 * segment.capacity);
+      s.events_.resize(begin + segment.capacity);
+      std::copy_n(s.events_.data() + segment.begin, segment.size, s.events_.data() + begin);
+      segment.begin = begin;
+    }
+    HistoryEvent* const events = s.events_.data() + segment.begin;
+    events[segment.size++] = {index, entry};
+    if (window && segment.size > 4 * *window + 2) {
       const std::size_t first_kept = window_first_kept(index + 1, window);
-      std::erase_if(events, [&](const HistoryEvent& e) { return e.index < first_kept; });
+      const HistoryEvent* const kept_end =
+          std::remove_if(events, events + segment.size,
+                         [&](const HistoryEvent& e) { return e.index < first_kept; });
+      segment.size = static_cast<std::size_t>(kept_end - events);
     }
   };
+  auto events_of = [&](graph::NodeId v) {
+    return std::span<const HistoryEvent>(s.events_).subspan(s.segments_[v].begin,
+                                                            s.segments_[v].size);
+  };
   auto view = [&](graph::NodeId v, std::size_t length) {
-    return HistoryView(s.histories_[v], length, window_first_kept(length, window));
+    return HistoryView(events_of(v), length, window_first_kept(length, window));
   };
   // Parks an awake node until its next decide(): next round when its
   // program promises no listen streak, else after the streak (never, when
@@ -670,7 +686,7 @@ RunResult Simulator::run_event(SimulatorScratch& s) const {
     out.elected = s.programs_[v]->elected();
     if (options_.keep_histories) {
       out.history.assign(length - first_kept, HistoryEntry::silence());
-      for (const HistoryEvent& event : s.histories_[v]) {
+      for (const HistoryEvent& event : events_of(v)) {
         if (event.index >= first_kept) {
           out.history[event.index - first_kept] = event.entry;
         }

@@ -176,8 +176,11 @@ struct RunResult {
 /// each run and never leak information between runs (asserted by the
 /// differential tests).  A fresh scratch allocates nothing.  It holds the
 /// channel-resolution buffers both engines use, the fault state, and the
-/// fast path's per-node state: programs, sparse histories whose capacity
-/// survives across runs, a per-seed coin-seed cache, and the calendars.
+/// fast path's per-node state: a pool of programs that each run hands to
+/// Drip::instantiate_into (so a drip may reuse them instead of allocating),
+/// the sparse histories in one arena, a per-seed coin-seed cache, and the
+/// calendars.  Every buffer keeps its capacity across runs, so once the
+/// scratch has seen a workload's shape a run allocates only its result.
 class SimulatorScratch {
  public:
   SimulatorScratch() = default;
@@ -199,9 +202,18 @@ class SimulatorScratch {
   std::vector<std::uint64_t> coin_seeds_;
   // Fast path: per-node state.  A stopped node's history length is fixed
   // when it stops; an awake node's is the current round minus its wake
-  // round, so parked rounds cost nothing.
+  // round, so parked rounds cost nothing.  Node v's sparse history is
+  // events_[begin, begin + size) of one arena, in a segment of `capacity`
+  // slots: one buffer for all nodes, so no per-node store regrows when a
+  // later run's node hears more than the same slot's node before it.
+  struct Segment {
+    std::size_t begin = 0;
+    std::size_t size = 0;
+    std::size_t capacity = 0;
+  };
   std::vector<std::unique_ptr<NodeProgram>> programs_;
-  std::vector<SparseHistory> histories_;
+  std::vector<HistoryEvent> events_;
+  std::vector<Segment> segments_;
   std::vector<std::uint8_t> phase_;
   std::vector<config::Round> wake_round_;
   std::vector<std::uint8_t> forced_;

@@ -2,13 +2,16 @@
 /// Tests for the Classifier (Algorithms 1-4): hand-computed partitions and
 /// labels on the paper's families, structural properties (Observation 3.2,
 /// Corollary 3.3, Lemma 3.4), exact equality with the rep-scan reference
-/// (every result field, `steps` included), and differential equality with
-/// FastClassifier.
+/// (every result field, `steps` included) and of the flat label table with
+/// per-node labels, and differential equality with FastClassifier.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "config/families.hpp"
 #include "config/io.hpp"
@@ -27,6 +30,11 @@ using core::ClassId;
 using core::Label;
 using core::LabelTriple;
 
+/// Node v's row of a label table, copied into an owning Label.
+Label row(const core::LabelTable& labels, std::size_t v) {
+  return Label(labels[v].begin(), labels[v].end());
+}
+
 // ----------------------------------------------------- hand-computed families
 
 TEST(Classifier, FamilyHSplitsCompletelyInOneIteration) {
@@ -41,10 +49,10 @@ TEST(Classifier, FamilyHSplitsCompletelyInOneIteration) {
     EXPECT_TRUE(result.feasible());
     const auto& record = result.records[0];
     EXPECT_EQ(record.num_classes, 4u);
-    EXPECT_EQ(record.labels[0], (Label{{1, 2, false}}));
-    EXPECT_EQ(record.labels[1], (Label{{1, 2 * m + 2, false}}));
-    EXPECT_EQ(record.labels[2], (Label{{1, 2 * m + 3, false}}));
-    EXPECT_EQ(record.labels[3], (Label{{1, 1, false}}));
+    EXPECT_EQ(row(record.labels, 0), (Label{{1, 2, false}}));
+    EXPECT_EQ(row(record.labels, 1), (Label{{1, 2 * m + 2, false}}));
+    EXPECT_EQ(row(record.labels, 2), (Label{{1, 2 * m + 3, false}}));
+    EXPECT_EQ(row(record.labels, 3), (Label{{1, 1, false}}));
     // Smallest singleton class is a's (vertex order makes node 0 class 1).
     EXPECT_EQ(result.leader_class, 1u);
     EXPECT_EQ(result.leader, 0u);
@@ -126,25 +134,26 @@ TEST(Partitioner, CollisionSlotsBecomeStars) {
   const config::Configuration c(graph::star(3), {0, 1, 1});
   const auto labels = core::compute_labels(c, {1, 1, 1});
   // σ = 1: leaves (tag 1) seen from the hub (tag 0) at round σ+1+1 = 3.
-  EXPECT_EQ(labels[0], (Label{{1, 3, true}}));
+  EXPECT_EQ(row(labels, 0), (Label{{1, 3, true}}));
   // Each leaf sees only the hub at round σ+1-1 = 1.
-  EXPECT_EQ(labels[1], (Label{{1, 1, false}}));
-  EXPECT_EQ(labels[2], (Label{{1, 1, false}}));
+  EXPECT_EQ(row(labels, 1), (Label{{1, 1, false}}));
+  EXPECT_EQ(row(labels, 2), (Label{{1, 1, false}}));
 }
 
 TEST(Partitioner, SameClassSameTagNeighboursAreExcluded) {
   const config::Configuration c(graph::complete(3), {0, 0, 0});
   const auto labels = core::compute_labels(c, {1, 1, 1});
-  for (const auto& label : labels) {
-    EXPECT_TRUE(label.empty());
+  ASSERT_EQ(labels.size(), 3u);
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    EXPECT_TRUE(row(labels, v).empty());
   }
 }
 
 TEST(Partitioner, SameClassDifferentTagNeighboursAreIncluded) {
   const config::Configuration c(graph::path(2), {0, 2});
   const auto labels = core::compute_labels(c, {1, 1});
-  EXPECT_EQ(labels[0], (Label{{1, 5, false}}));  // σ=2: 2+1+2
-  EXPECT_EQ(labels[1], (Label{{1, 1, false}}));  // 2+1-2
+  EXPECT_EQ(row(labels, 0), (Label{{1, 5, false}}));  // σ=2: 2+1+2
+  EXPECT_EQ(row(labels, 1), (Label{{1, 1, false}}));  // 2+1-2
 }
 
 TEST(Partitioner, LabelsAreSortedByPrecHist) {
@@ -152,7 +161,7 @@ TEST(Partitioner, LabelsAreSortedByPrecHist) {
   // the label must come out (class, round, star)-lexicographic.
   const config::Configuration c(graph::star(4), {1, 0, 2, 2});
   const auto labels = core::compute_labels(c, {1, 2, 2, 3});
-  const Label& hub = labels[0];
+  const Label hub = row(labels, 0);
   ASSERT_GE(hub.size(), 2u);
   for (std::size_t i = 0; i + 1 < hub.size(); ++i) {
     EXPECT_LT(hub[i], hub[i + 1]);
@@ -318,6 +327,97 @@ TEST(ClassifierReference, ExhaustiveSmallConfigurationsMatchExactly) {
   }
   EXPECT_EQ(configurations, 180102u);
   differential.expect_clean(2 * configurations, 30000);
+}
+
+/// The Partitioner's labels as computed before they were stored flat: one
+/// Label per node, a linear scan marking a second transmitter on a slot
+/// with a star, the no-CD erase of starred triples, and a sort, charging
+/// `steps` one per scanned triple and one per kept triple.
+std::vector<Label> per_node_labels(const config::Configuration& c,
+                                   const std::vector<ClassId>& clazz, std::uint64_t& steps,
+                                   radio::ChannelModel model) {
+  std::vector<Label> labels(c.size());
+  const auto sigma = static_cast<std::int64_t>(c.span());
+  for (graph::NodeId v = 0; v < c.size(); ++v) {
+    Label& label = labels[v];
+    const auto tv = static_cast<std::int64_t>(c.tag(v));
+    for (const graph::NodeId w : c.graph().neighbors(v)) {
+      const auto tw = static_cast<std::int64_t>(c.tag(w));
+      if (clazz[w] == clazz[v] && tw == tv) {
+        continue;
+      }
+      const auto round = static_cast<std::uint32_t>(sigma + 1 + tw - tv);
+      bool fresh = true;
+      for (LabelTriple& triple : label) {
+        ++steps;
+        if (triple.cls == clazz[w] && triple.round == round) {
+          triple.star = true;
+          fresh = false;
+          break;
+        }
+      }
+      if (fresh) {
+        label.push_back(LabelTriple{clazz[w], round, false});
+      }
+    }
+    if (model == radio::ChannelModel::NoCollisionDetection) {
+      std::erase_if(label, [](const LabelTriple& triple) { return triple.star; });
+    }
+    std::sort(label.begin(), label.end());
+    steps += label.size();
+  }
+  return labels;
+}
+
+TEST(ClassifierReference, LabelTableRowsMatchPerNodeLabels) {
+  // compute_labels writes every node's label into one flat table.  On
+  // generated configurations — G(n, p) with n <= 64, σ in {0, 1, 3, 200},
+  // random partitions into 1..n classes — each row must equal the per-node
+  // reference under both channel models, with the same step charge, and
+  // the table must hold exactly the rows' triples.
+  support::Rng rng(1906);
+  std::uint64_t starred = 0;
+  std::uint64_t triples = 0;
+  for (int i = 0; i < 400; ++i) {
+    const auto n = static_cast<graph::NodeId>(1 + rng.below(64));
+    const double p = std::array{0.05, 0.1, 0.3, 0.6}[rng.below(4)];
+    const auto sigma = std::array<config::Tag, 4>{0, 1, 3, 200}[rng.below(4)];
+    graph::Graph g = graph::gnp_connected(n, p, rng);
+    const config::Configuration c =
+        sigma == 0 || n == 1
+            ? config::Configuration(std::move(g), std::vector<config::Tag>(n, 0))
+            : config::random_tags_with_span(std::move(g), sigma, rng);
+    const auto classes = static_cast<ClassId>(1 + rng.below(n));
+    std::vector<ClassId> clazz(n);
+    for (ClassId& cls : clazz) {
+      cls = static_cast<ClassId>(1 + rng.below(classes));
+    }
+    for (const radio::ChannelModel model :
+         {radio::ChannelModel::CollisionDetection, radio::ChannelModel::NoCollisionDetection}) {
+      std::uint64_t reference_steps = 0;
+      const std::vector<Label> reference = per_node_labels(c, clazz, reference_steps, model);
+      std::uint64_t steps = 0;
+      const core::LabelTable table = core::compute_labels(c, clazz, &steps, model);
+      std::ostringstream what;
+      what << '#' << i << " model " << static_cast<int>(model) << ": "
+           << config::to_text_string(c);
+      ASSERT_EQ(table.size(), n) << what.str();
+      std::size_t total = 0;
+      for (graph::NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(row(table, v), reference[v]) << what.str() << " node " << v;
+        total += reference[v].size();
+        starred += static_cast<std::uint64_t>(
+            std::count_if(reference[v].begin(), reference[v].end(),
+                          [](const LabelTriple& triple) { return triple.star; }));
+      }
+      EXPECT_EQ(table.triples.size(), total) << what.str();
+      EXPECT_EQ(steps, reference_steps) << what.str();
+      triples += total;
+    }
+  }
+  // The comparison is only as strong as the labels it saw.
+  EXPECT_GT(starred, 100u);
+  EXPECT_GT(triples, 10000u);
 }
 
 TEST(ClassifierReference, PaperFamiliesMatchExactly) {

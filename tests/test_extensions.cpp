@@ -59,9 +59,10 @@ TEST(NoCd, LabelsDropStarredSlots) {
   const auto cd = core::compute_labels(c, {1, 1, 1});
   const auto nocd = core::compute_labels(c, {1, 1, 1}, nullptr,
                                          radio::ChannelModel::NoCollisionDetection);
-  EXPECT_EQ(cd[0], (core::Label{{1, 3, true}}));
+  EXPECT_EQ(core::Label(cd[0].begin(), cd[0].end()), (core::Label{{1, 3, true}}));
   EXPECT_TRUE(nocd[0].empty());
-  EXPECT_EQ(nocd[1], cd[1]);  // clean slots are unaffected
+  EXPECT_EQ(core::Label(nocd[1].begin(), nocd[1].end()),
+            core::Label(cd[1].begin(), cd[1].end()));  // clean slots are unaffected
 }
 
 TEST(NoCd, WeakerFeedbackNeverHelps) {

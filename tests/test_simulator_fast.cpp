@@ -4,8 +4,10 @@
 /// per-node outcomes including full histories and energy counters, same
 /// RunStats including the injected-fault counters — across channel models,
 /// wake policies, history windows, protocols (with and without
-/// listen_streak), every fault kind, horizon cut-offs, scratch reuse, and
-/// the batch engine's scalar/wavefront modes at several thread counts.
+/// listen_streak), every fault kind, horizon cut-offs, scratch reuse (the
+/// program pool across drips included), wake calendars over tags of several
+/// bytes, and the batch engine's scalar/wavefront modes at several thread
+/// counts.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/binary_search.hpp"
 #include "baselines/randomized.hpp"
 #include "config/configuration.hpp"
 #include "config/families.hpp"
@@ -452,6 +455,77 @@ TEST(SimulatorFast, ScratchReuseStaysBitIdentical) {
                           (engine == radio::SimulatorEngine::Scalar ? " scalar" : " event"));
       ++step;
     }
+  }
+}
+
+TEST(SimulatorFast, PooledProgramsResetBetweenDrips) {
+  // The event engine hands the scratch's program pool to each run's drip,
+  // and the canonical drip overwrites the CanonicalPrograms it finds there
+  // with fresh ones instead of allocating.  One scratch runs an interleaved
+  // sequence — canonical in strict mode on a three-phase schedule, canonical
+  // in robust mode on a configuration its schedule was not compiled for (its
+  // programs end failed), the binary-search baseline (its programs replace
+  // canonical ones), the testkit drips, and canonical again — and every run
+  // must equal the scalar loop's on a fresh scratch.  A reused program that
+  // kept state of the earlier run (failed, done, phase, base, block) or a
+  // slot left holding a program of the wrong type would show as a different
+  // run.
+  const config::Configuration g3 = config::family_g(3);
+  const graph::NodeId n = g3.size();
+  support::Rng rng(2026);
+  const config::Configuration retagged = config::random_tags_with_span(g3.graph(), 9, rng);
+  const config::Configuration single_hop = config::single_hop({0, 0, 0, 0, 0, 0, 0, 0});
+  const config::Configuration small = random_configuration(rng);
+
+  const std::shared_ptr<const core::CanonicalSchedule> schedule = core::make_schedule(g3);
+  ASSERT_EQ(schedule->phases.size(), 3u);
+  const core::CanonicalDrip strict(schedule, core::MismatchPolicy::Strict);
+  const core::CanonicalDrip robust(schedule, core::MismatchPolicy::Robust);
+  const auto robust_own = canonical_for(small, radio::ChannelModel::CollisionDetection);
+  const baselines::BinarySearchElection binary_search(/*label_bits=*/3);
+  const testkit::BeaconDrip beacon(2, /*payload=*/4, /*lifetime=*/7);
+  const testkit::SilentDrip silent(5);
+  const testkit::ImmortalDrip immortal;
+
+  radio::SimulatorScratch pool;
+  int step = 0;
+  const auto check = [&](const config::Configuration& configuration, const radio::Drip& drip,
+                         radio::SimulatorOptions options) {
+    const std::string what = "pool step " + std::to_string(step++) + " " + drip.name();
+    radio::SimulatorScratch fresh;
+    options.engine = radio::SimulatorEngine::Scalar;
+    const radio::RunResult scalar = radio::simulate(configuration, drip, options, fresh);
+    options.engine = radio::SimulatorEngine::Event;
+    const radio::RunResult pooled = radio::simulate(configuration, drip, options, pool);
+    expect_same_run(scalar, pooled, what);
+    return scalar;
+  };
+  radio::SimulatorOptions labeled;
+  labeled.labels = {5, 3, 0, 7, 1, 6, 2, 4};
+  radio::SimulatorOptions horizon;
+  horizon.max_rounds = 30;
+
+  for (int round = 0; round < 2; ++round) {
+    const radio::RunResult elected = check(g3, strict, {});
+    EXPECT_EQ(elected.leaders(), std::vector<graph::NodeId>{config::family_g_center(3)});
+
+    // Robust on a configuration the schedule does not describe: some node
+    // stops before the schedule's last round, so the pool holds failed
+    // programs.
+    const radio::RunResult failed = check(retagged, robust, {});
+    bool stopped_early = false;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      stopped_early =
+          stopped_early || failed.nodes[v].done_round < robust.schedule().total_rounds();
+    }
+    EXPECT_TRUE(stopped_early);
+
+    check(single_hop, binary_search, labeled);
+    check(g3, strict, {});
+    check(small, beacon, {});
+    check(g3, silent, {});
+    check(small, *robust_own, {});
+    check(g3, immortal, horizon);
   }
 }
 
