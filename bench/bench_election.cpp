@@ -29,7 +29,6 @@
 #include "dist/shard.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/schedule_cache.hpp"
-#include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"

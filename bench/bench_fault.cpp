@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "core/protocol.hpp"
 #include "engine/batch_runner.hpp"
-#include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "fault/fault.hpp"
 #include "support/table.hpp"

@@ -1,6 +1,6 @@
 /// \file bench_obs.cpp
 /// E8 — observability overhead: the same classification+election sweep runs
-/// with the metrics registry enabled (the default) and disabled, in 41
+/// with the metrics registry enabled (the default) and disabled, in 121
 /// adjacent off/on pass pairs.  The tracked perf invariant is the median of
 /// the per-pair off/on wall-time ratios (BENCH_E8.json, gated in CI by
 /// tools/bench_gate with --tolerance=0.03): instrumentation may cost at most
@@ -30,7 +30,10 @@ using namespace arl;
 constexpr const char* kWorkload = "random:n=24,p=0.25,sigma=6";
 constexpr std::uint64_t kCount = 300;  // configurations
 constexpr std::uint64_t kSeed = 9;
-constexpr int kPairs = 41;  // adjacent off/on passes; the gate reads the median ratio
+// Adjacent off/on passes; the gate reads the median ratio.  Metrics cost
+// about 1 % of a job, so the median needs enough pairs to keep host noise
+// well inside the gate's 3 %; a pass takes about 6 ms.
+constexpr int kPairs = 121;
 
 engine::CountedSweep e8_sweep() {
   return engine::parse_workload(kWorkload).instantiate(
@@ -101,7 +104,8 @@ void print_e8_table() {
   // ratio at 1.0 so a lucky committed run cannot tighten the gate.
   const double gated_speedup = std::min(raw_speedup, 1.0);
 
-  support::Table table({"mode", "wall ms (median of 41)", "jobs", "jobs/s"});
+  const std::string wall = "wall ms (median of " + std::to_string(kPairs) + ")";
+  support::Table table({"mode", wall, "jobs", "jobs/s"});
   const auto row = [&](const std::string& mode, double ms, const engine::BatchReport& r) {
     table.add_row({mode, ms, static_cast<std::int64_t>(r.jobs.size()),
                    static_cast<double>(r.jobs.size()) / (ms / 1e3)});

@@ -53,8 +53,7 @@ void read_label(TokenCursor& in, std::vector<LabelTriple>& out) {
 void schedule_to_text(const CanonicalSchedule& schedule, std::ostream& out) {
   out << "arl-schedule v1\n";
   out << "sigma " << schedule.sigma << '\n';
-  out << "model " << (schedule.model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd")
-      << '\n';
+  out << "model " << radio::channel_model_token(schedule.model) << '\n';
   out << "feasible " << (schedule.feasible ? 1 : 0) << '\n';
   if (schedule.feasible) {
     out << "leader " << schedule.leader_old_class;
@@ -98,10 +97,9 @@ CanonicalSchedule schedule_from_text(std::istream& in) {
     std::istringstream parse(line);
     std::string model;
     parse >> keyword >> model;
-    ARL_EXPECTS(!parse.fail() && keyword == "model" && (model == "cd" || model == "nocd"),
-                "malformed 'model' line");
-    schedule.model = model == "cd" ? radio::ChannelModel::CollisionDetection
-                                   : radio::ChannelModel::NoCollisionDetection;
+    const std::optional<radio::ChannelModel> parsed = radio::parse_channel_model(model);
+    ARL_EXPECTS(!parse.fail() && keyword == "model" && parsed, "malformed 'model' line");
+    schedule.model = *parsed;
   }
 
   ARL_EXPECTS(next_content_line(in, line), "missing 'feasible'");
@@ -185,8 +183,7 @@ void absorb_label(support::Hash64& hash, std::span<const LabelTriple> label) {
 
 void classification_to_text(const ClassifierResult& result, std::ostream& out) {
   out << "arl-classification v1\n";
-  out << "model " << (result.model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd")
-      << '\n';
+  out << "model " << radio::channel_model_token(result.model) << '\n';
   out << "verdict " << (result.feasible() ? "feasible" : "infeasible") << '\n';
   out << "iterations " << result.iterations << '\n';
   if (result.feasible()) {
@@ -233,10 +230,9 @@ ClassifierResult classification_from_text(std::istream& in) {
     std::istringstream parse(line);
     std::string model;
     parse >> keyword >> model;
-    ARL_EXPECTS(!parse.fail() && keyword == "model" && (model == "cd" || model == "nocd"),
-                "malformed 'model' line");
-    result.model = model == "cd" ? radio::ChannelModel::CollisionDetection
-                                 : radio::ChannelModel::NoCollisionDetection;
+    const std::optional<radio::ChannelModel> parsed = radio::parse_channel_model(model);
+    ARL_EXPECTS(!parse.fail() && keyword == "model" && parsed, "malformed 'model' line");
+    result.model = *parsed;
   }
 
   ARL_EXPECTS(next_content_line(in, line), "missing 'verdict'");

@@ -55,7 +55,7 @@ struct BatchOptions {
 
   /// Capacity (entries) of the schedule/classification cache shared by all
   /// workers of a batch; 0 (the default) runs uncached.  Jobs that share a
-  /// configuration — mutation sweeps, cross_protocols head-to-heads —
+  /// configuration — mutation sweeps, multi-protocol head-to-heads —
   /// classify once instead of once per job; outcomes are bit-identical
   /// either way (tests/test_schedule_cache.cpp).
   std::size_t cache_capacity = 0;

@@ -7,7 +7,7 @@
 /// schedule built from it).
 ///
 /// Why it exists: the canonical DRIP compiles per-configuration knowledge
-/// before any simulation, and mutation sweeps / `cross_protocols` batches
+/// before any simulation, and mutation sweeps / multi-protocol workloads
 /// deliberately run consecutive jobs on the *same* configuration — so
 /// without a cache every one of those jobs re-classifies (O(n³Δ)) and
 /// re-compiles from scratch.  One `ScheduleCache` shared by all of a

@@ -1,12 +1,15 @@
 #include "engine/workload.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <tuple>
 #include <utility>
 
 #include "config/families.hpp"
 #include "config/mutations.hpp"
+#include "graph/enumeration.hpp"
 #include "graph/generators.hpp"
 #include "support/assert.hpp"
 #include "support/hash.hpp"
@@ -63,6 +66,9 @@ WorkloadSpec blank(WorkloadKind kind) {
 void validate(const WorkloadSpec& spec) {
   const std::string at = std::string("workload '") + support::kind_token(kKinds, spec.kind) + "': ";
   require(spec.span <= 1'000'000, at + "sigma must be in [0, 1000000]");
+  // Only random names exact= (a topology with exact=0 would draw other tags
+  // under the same name).
+  require(spec.exact || spec.kind == WorkloadKind::Random, at + "exact=0 applies to random only");
   // Stretching tags to an exact positive span needs two nodes to stretch
   // between (config::random_tags_with_span's precondition) — reject at
   // parse time, not mid-batch inside a worker thread.
@@ -122,10 +128,12 @@ config::Tag family_offset(WorkloadKind kind) {
   return kind == WorkloadKind::FamilyG ? 2 : 1;
 }
 
-/// The fixed-topology kinds' graph for one configuration index (`rng` is
-/// that index's private stream; only Tree consumes it).
+/// The graph of one configuration of the seeded kinds (`rng` is that
+/// configuration's private stream; random and tree consume it).
 graph::Graph topology(const WorkloadSpec& spec, support::Rng& rng) {
   switch (spec.kind) {
+    case WorkloadKind::Random:
+      return graph::gnp_connected(spec.nodes, spec.edge_probability, rng);
     case WorkloadKind::Grid:
       return graph::grid(spec.rows, spec.cols);
     case WorkloadKind::Torus:
@@ -137,34 +145,108 @@ graph::Graph topology(const WorkloadSpec& spec, support::Rng& rng) {
     case WorkloadKind::SingleHop:
       return graph::complete(spec.nodes);
     default:
-      ARL_EXPECTS(false, "not a fixed-topology workload kind");
+      ARL_EXPECTS(false, "not a seeded workload kind");
       return graph::Graph();
   }
 }
 
-/// Wraps a materialized job list as a shared lazy source, so sharding
-/// treats every kind uniformly (a shard touches only its own job ids).
-CountedSweep materialized_sweep(std::vector<BatchJob> materialized) {
-  auto jobs = std::make_shared<const std::vector<BatchJob>>(std::move(materialized));
-  CountedSweep sweep;
-  sweep.count = static_cast<JobId>(jobs->size());
-  sweep.source = [jobs](JobId id) { return (*jobs)[static_cast<std::size_t>(id)]; };
-  return sweep;
-}
+/// A workload's configuration stream before the protocol cross product:
+/// `count` configurations, configuration i built on demand as a pure
+/// function of i (workers call it concurrently).
+struct ConfigurationStream {
+  JobId count = 0;
+  std::function<config::Configuration(JobId)> configuration;
+};
 
-/// The first `count` configurations of a spec's stream, materialized — the
-/// base of a mutation neighbourhood.
-std::vector<config::Configuration> materialize_configurations(const WorkloadSpec& spec,
-                                                              std::uint64_t seed,
-                                                              std::size_t count) {
-  const CountedSweep sweep =
-      spec.instantiate(seed, {core::ProtocolSpec::canonical()}, {.count = count});
-  std::vector<config::Configuration> configurations;
-  configurations.reserve(static_cast<std::size_t>(sweep.count));
-  for (JobId id = 0; id < sweep.count; ++id) {
-    configurations.push_back(sweep.source(id).configuration);
+/// The configuration stream of a validated spec: `count` configurations for
+/// the unbounded kinds, the implied count for the self-counting ones.
+ConfigurationStream configurations(const WorkloadSpec& spec, std::uint64_t seed,
+                                   std::size_t count) {
+  ConfigurationStream stream{count, {}};
+  switch (spec.kind) {
+    case WorkloadKind::Random:
+    case WorkloadKind::Grid:
+    case WorkloadKind::Torus:
+    case WorkloadKind::Hypercube:
+    case WorkloadKind::Tree:
+    case WorkloadKind::SingleHop: {
+      // Configuration i draws from its own split of the configuration seed,
+      // so any prefix or shard reproduces on any thread count.
+      const std::uint64_t configuration_seed = sweep_configuration_seed(seed);
+      stream.configuration = [spec, configuration_seed](JobId i) {
+        support::Rng rng = support::Rng(configuration_seed).split(i);
+        graph::Graph graph = topology(spec, rng);
+        return spec.exact ? config::random_tags_with_span(std::move(graph), spec.span, rng)
+                          : config::random_tags(std::move(graph), spec.span, rng);
+      };
+      break;
+    }
+
+    case WorkloadKind::FamilyG:
+    case WorkloadKind::FamilyH:
+    case WorkloadKind::FamilyS:
+      stream.configuration = [kind = spec.kind](JobId i) {
+        const auto m = static_cast<config::Tag>(i + family_offset(kind));
+        return kind == WorkloadKind::FamilyG   ? config::family_g(m)
+               : kind == WorkloadKind::FamilyH ? config::family_h(m)
+                                               : config::family_s(m);
+      };
+      break;
+
+    case WorkloadKind::Staggered:
+      stream.configuration = [](JobId i) {
+        return config::staggered_path(2 + static_cast<graph::NodeId>(i));
+      };
+      break;
+
+    case WorkloadKind::Exhaustive: {
+      // Only the graphs are materialized: their count is exponentially
+      // smaller than the configuration count, so a census holds one
+      // configuration per worker in memory.
+      auto graphs = std::make_shared<std::vector<graph::Graph>>();
+      graph::for_each_connected_graph(
+          spec.nodes, [&graphs](const graph::Graph& graph) { graphs->push_back(graph); });
+      const std::uint64_t base = static_cast<std::uint64_t>(spec.max_tag) + 1;
+      std::uint64_t tag_vectors = 1;
+      for (graph::NodeId v = 0; v < spec.nodes; ++v) {
+        ARL_EXPECTS(tag_vectors <= std::numeric_limits<std::uint64_t>::max() / base,
+                    "tag space exceeds 64 bits");
+        tag_vectors *= base;
+      }
+      stream.count = static_cast<JobId>(graphs->size()) * tag_vectors;
+      stream.configuration = [graphs, n = spec.nodes, base, tag_vectors](JobId i) {
+        // Decode (graph index, tag odometer) from i; node 0 is the fastest
+        // digit.
+        std::uint64_t code = i % tag_vectors;
+        std::vector<config::Tag> tags(n);
+        for (graph::NodeId v = 0; v < n; ++v) {
+          tags[v] = static_cast<config::Tag>(code % base);
+          code /= base;
+        }
+        return config::Configuration((*graphs)[static_cast<std::size_t>(i / tag_vectors)],
+                                     std::move(tags));
+      };
+      break;
+    }
+
+    case WorkloadKind::Mutations: {
+      // The neighbour list is materialized once: every tag mutation of each
+      // base configuration, in base order.
+      const ConfigurationStream base = configurations(*spec.base, seed, count);
+      auto mutated = std::make_shared<std::vector<config::Configuration>>();
+      for (JobId i = 0; i < base.count; ++i) {
+        const config::Configuration configuration = base.configuration(i);
+        for (config::Configuration& neighbour :
+             config::all_tag_mutations(configuration, configuration.span())) {
+          mutated->push_back(std::move(neighbour));
+        }
+      }
+      stream.count = mutated->size();
+      stream.configuration = [mutated](JobId i) { return (*mutated)[static_cast<std::size_t>(i)]; };
+      break;
+    }
   }
-  return configurations;
+  return stream;
 }
 
 }  // namespace
@@ -294,8 +376,8 @@ std::string WorkloadSpec::name() const {
     default:  // the parameterless families
       break;
   }
-  if (model == radio::ChannelModel::NoCollisionDetection) {
-    params.push_back("model=nocd");
+  if (model != radio::ChannelModel::CollisionDetection) {
+    params.push_back("model=" + std::string(radio::channel_model_token(model)));
   }
   if (fast) {
     params.push_back("fast=1");
@@ -368,94 +450,28 @@ CountedSweep WorkloadSpec::instantiate(std::uint64_t seed,
                                        const InstantiateOptions& run) const {
   validate(*this);
   ARL_EXPECTS(!protocols.empty(), "a workload needs at least one protocol");
-  const core::ElectionOptions options = election_options();
+  const ConfigurationStream stream = configurations(*this, seed, run.count);
   const auto cross = static_cast<JobId>(protocols.size());
-  const auto crossed_count = [&](JobId configurations) {
-    ARL_EXPECTS(configurations <= std::numeric_limits<JobId>::max() / cross,
-                "protocol cross product overflows the job-id space");
-    return configurations * cross;
+  ARL_EXPECTS(stream.count <= std::numeric_limits<JobId>::max() / cross,
+              "protocol cross product overflows the job-id space");
+  const core::ElectionOptions options = election_options();
+  CountedSweep sweep;
+  sweep.count = stream.count * cross;
+  // The one protocol cross product: job i runs configuration i / P under
+  // protocols[i % P].
+  sweep.source = [stream, protocols = std::move(protocols), cross, options](JobId id) {
+    return BatchJob{stream.configuration(id / cross),
+                    protocols[static_cast<std::size_t>(id % cross)], options};
   };
+  return sweep;
+}
 
-  switch (kind) {
-    case WorkloadKind::Random: {
-      RandomSweep sweep;
-      sweep.nodes = nodes;
-      sweep.edge_probability = edge_probability;
-      sweep.span = span;
-      sweep.exact_span = exact;
-      sweep.seed = sweep_configuration_seed(seed);
-      sweep.protocols = std::move(protocols);
-      sweep.options = options;
-      return {crossed_count(run.count), random_jobs(std::move(sweep))};
-    }
-
-    case WorkloadKind::Grid:
-    case WorkloadKind::Torus:
-    case WorkloadKind::Hypercube:
-    case WorkloadKind::Tree:
-    case WorkloadKind::SingleHop: {
-      // Same stream discipline as random_jobs: configuration i / P is a pure
-      // function of (configuration seed, i / P), protocols consecutive per
-      // configuration, so any prefix or shard reproduces on any thread count.
-      const std::uint64_t configuration_seed = sweep_configuration_seed(seed);
-      auto shared_protocols =
-          std::make_shared<const std::vector<core::ProtocolSpec>>(std::move(protocols));
-      CountedSweep sweep;
-      sweep.count = crossed_count(run.count);
-      sweep.source = [spec = *this, configuration_seed, shared_protocols, options](JobId id) {
-        const auto count = static_cast<JobId>(shared_protocols->size());
-        support::Rng rng = support::Rng(configuration_seed).split(id / count);
-        graph::Graph graph = topology(spec, rng);
-        config::Configuration configuration =
-            config::random_tags_with_span(std::move(graph), spec.span, rng);
-        return BatchJob{std::move(configuration),
-                        (*shared_protocols)[static_cast<std::size_t>(id % count)], options};
-      };
-      return sweep;
-    }
-
-    case WorkloadKind::FamilyG:
-    case WorkloadKind::FamilyH:
-    case WorkloadKind::FamilyS: {
-      std::vector<config::Configuration> configurations;
-      configurations.reserve(run.count);
-      for (std::size_t i = 0; i < run.count; ++i) {
-        const auto m = static_cast<config::Tag>(i + family_offset(kind));
-        configurations.push_back(kind == WorkloadKind::FamilyG   ? config::family_g(m)
-                                 : kind == WorkloadKind::FamilyH ? config::family_h(m)
-                                                                 : config::family_s(m));
-      }
-      return materialized_sweep(cross_jobs(std::move(configurations), protocols, options));
-    }
-
-    case WorkloadKind::Staggered: {
-      std::vector<config::Configuration> configurations;
-      configurations.reserve(run.count);
-      for (std::size_t i = 0; i < run.count; ++i) {
-        configurations.push_back(config::staggered_path(2 + static_cast<graph::NodeId>(i)));
-      }
-      return materialized_sweep(cross_jobs(std::move(configurations), protocols, options));
-    }
-
-    case WorkloadKind::Exhaustive:
-      return cross_protocols(
-          exhaustive_sweep(nodes, max_tag, core::ProtocolSpec::canonical(), options),
-          std::move(protocols));
-
-    case WorkloadKind::Mutations: {
-      std::vector<config::Configuration> mutated;
-      for (const config::Configuration& configuration :
-           materialize_configurations(*base, seed, run.count)) {
-        for (config::Configuration& neighbour :
-             config::all_tag_mutations(configuration, configuration.span())) {
-          mutated.push_back(std::move(neighbour));
-        }
-      }
-      return materialized_sweep(cross_jobs(std::move(mutated), protocols, options));
-    }
-  }
-  ARL_EXPECTS(false, "unreachable workload kind");
-  return {};
+std::uint64_t sweep_configuration_seed(std::uint64_t batch_seed) {
+  // Stream id reserved for the configuration stream (any job-id collision
+  // would correlate a job's configuration with its coins); the value is
+  // arbitrary but fixed forever so published sweeps stay reproducible.
+  constexpr std::uint64_t kConfigurationStream = 0x5EEDF00D;
+  return support::Rng(batch_seed).split(kConfigurationStream).next();
 }
 
 const std::vector<WorkloadSpec>& registered_workloads() {
@@ -513,13 +529,11 @@ WorkloadSpec parse_workload(std::string_view text) {
   for (const auto& [key, value] : support::parse_key_values(*parts.params, at)) {
     const std::string what = at + std::string(key);
     if (key == "model") {
-      if (value == "cd") {
-        spec.model = radio::ChannelModel::CollisionDetection;
-      } else if (value == "nocd") {
-        spec.model = radio::ChannelModel::NoCollisionDetection;
-      } else {
+      const std::optional<radio::ChannelModel> model = radio::parse_channel_model(value);
+      if (!model) {
         throw ContractViolation(what + " must be cd or nocd (got '" + std::string(value) + "')");
       }
+      spec.model = *model;
     } else if (key == "fast") {
       spec.fast = support::parse_flag(value, what);
     } else if (key == "n" && accepts({WorkloadKind::Random, WorkloadKind::Exhaustive,

@@ -37,10 +37,24 @@
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "engine/sweep.hpp"
+#include "engine/job.hpp"
 #include "radio/message.hpp"
 
 namespace arl::engine {
+
+/// A counted lazy sweep: `count` jobs produced on demand by `source`.
+struct CountedSweep {
+  JobId count = 0;
+  JobSource source;
+};
+
+/// The configuration-stream seed the CLI sweep derives from the batch master
+/// seed: a dedicated Rng split, keeping the configuration stream independent
+/// of the per-job coin-seed stream (job_coin_seed uses
+/// Rng(batch_seed).split(job id); this uses a reserved stream id far outside
+/// any job-id range).  Exposed so scripts can reproduce a CLI sweep's
+/// configurations from its --seed alone.
+[[nodiscard]] std::uint64_t sweep_configuration_seed(std::uint64_t batch_seed);
 
 /// Run-sizing knobs of WorkloadSpec::instantiate(): everything that scales
 /// a run without changing workload identity (identity lives in the spec;
@@ -139,8 +153,8 @@ struct WorkloadSpec {
   /// Turns the spec into the engine's job stream: `count` configurations
   /// (or the implied count for bounded kinds) crossed with `protocols` —
   /// job i runs configuration i / P under protocols[i % P], so the P jobs
-  /// of one configuration are consecutive (head-to-head comparison order,
-  /// same as cross_protocols).  `seed` is the batch master seed; the
+  /// of one configuration are consecutive (head-to-head comparison order)
+  /// and share one configuration.  `seed` is the batch master seed; the
   /// configuration stream derives from it via sweep_configuration_seed, so
   /// one --seed reproduces configurations and coins alike.  Throws
   /// support::ContractViolation on out-of-range parameters.

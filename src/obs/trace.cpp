@@ -4,8 +4,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/parse.hpp"
+
 namespace arl::obs {
 namespace {
+
+using support::hex64;
 
 /// Minimal JSON string escape.  The strings traced today are registry
 /// tokens (no quotes or control bytes), but the writer must not be the
@@ -40,12 +44,6 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-std::string hex16(std::uint64_t value) {
-  std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << value;
-  return out.str();
-}
-
 }  // namespace
 
 JsonLinesTraceSink::JsonLinesTraceSink(const std::string& path) : out_(path, std::ios::trunc) {
@@ -59,7 +57,7 @@ void JsonLinesTraceSink::emit(const TraceEvent& event) {
   // from concurrent workers never interleave.
   std::ostringstream line;
   line << "{\"job\":" << event.job_id << ",\"protocol\":\"" << escape(event.protocol)
-       << "\",\"config\":\"" << hex16(event.config_fingerprint) << "\",\"nodes\":" << event.nodes
+       << "\",\"config\":\"" << hex64(event.config_fingerprint) << "\",\"nodes\":" << event.nodes
        << ",\"span\":" << event.span << ",\"disposition\":\"" << escape(event.disposition)
        << "\",\"feasible\":" << (event.feasible ? "true" : "false")
        << ",\"simulated\":" << (event.simulated ? "true" : "false")

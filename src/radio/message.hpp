@@ -12,7 +12,9 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "support/assert.hpp"
 
@@ -30,6 +32,24 @@ enum class ChannelModel : std::uint8_t {
   CollisionDetection,    ///< the paper's model: (∅) / (M) / (∗)
   NoCollisionDetection,  ///< collisions read as silence: (∅) / (M)
 };
+
+/// The one text spelling of a channel model, "cd" or "nocd": workload names,
+/// schedule and classification text, store entries and `arl --model=`.
+[[nodiscard]] constexpr std::string_view channel_model_token(ChannelModel model) {
+  return model == ChannelModel::CollisionDetection ? "cd" : "nocd";
+}
+
+/// Reads channel_model_token's spelling and nothing else; nullopt otherwise,
+/// so each reader words its own error.
+[[nodiscard]] constexpr std::optional<ChannelModel> parse_channel_model(std::string_view token) {
+  if (token == "cd") {
+    return ChannelModel::CollisionDetection;
+  }
+  if (token == "nocd") {
+    return ChannelModel::NoCollisionDetection;
+  }
+  return std::nullopt;
+}
 
 /// One entry of a node's history: what the node heard in one local round.
 class HistoryEntry {

@@ -53,7 +53,7 @@ std::string compose_entry(std::uint64_t key, const config::Configuration& config
   std::ostringstream body;
   body << "arl-artifact 1\n";
   body << "key " << support::hex64(key) << '\n';
-  body << "model " << (model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd") << '\n';
+  body << "model " << radio::channel_model_token(model) << '\n';
   body << "fast " << (fast_classifier ? 1 : 0) << '\n';
   body << "config-fingerprint " << support::hex64(config::fingerprint(configuration)) << '\n';
   body << "classification-fingerprint "
@@ -118,8 +118,7 @@ core::CompiledConfiguration parse_entry(const std::string& text, std::uint64_t k
   ARL_EXPECTS(value == "1", "unknown artifact format version");
   ARL_EXPECTS(hex_field("key") == key, "artifact key mismatch");
   field("model");
-  ARL_EXPECTS(value == (model == radio::ChannelModel::CollisionDetection ? "cd" : "nocd"),
-              "artifact channel model mismatch");
+  ARL_EXPECTS(value == radio::channel_model_token(model), "artifact channel model mismatch");
   field("fast");
   ARL_EXPECTS(value == (fast_classifier ? "1" : "0"), "artifact classifier choice mismatch");
   ARL_EXPECTS(hex_field("config-fingerprint") == config::fingerprint(configuration),

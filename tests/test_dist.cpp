@@ -18,7 +18,6 @@
 #include "dist/shard.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/schedule_cache.hpp"
-#include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "fault/fault.hpp"
 #include "support/assert.hpp"

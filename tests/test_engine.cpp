@@ -10,7 +10,7 @@
 
 #include "config/families.hpp"
 #include "engine/batch_runner.hpp"
-#include "engine/sweep.hpp"
+#include "engine/workload.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
 
@@ -18,13 +18,27 @@ namespace {
 
 using namespace arl;
 
+/// Every job of a workload's stream under the canonical protocol, in job-id
+/// order (`count` sizes the unbounded kinds).
+std::vector<engine::BatchJob> workload_jobs(const engine::WorkloadSpec& workload,
+                                            std::size_t count = 0) {
+  const engine::CountedSweep sweep =
+      workload.instantiate(/*seed=*/1, {core::ProtocolSpec::canonical()}, {.count = count});
+  std::vector<engine::BatchJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(sweep.count));
+  for (engine::JobId id = 0; id < sweep.count; ++id) {
+    jobs.push_back(sweep.source(id));
+  }
+  return jobs;
+}
+
 /// The job mix the parity suites sweep: every connected configuration with
 /// up to 3 nodes and tags in 0..2, the paper families, staggered paths, and
 /// a seeded random family.
 std::vector<engine::BatchJob> parity_jobs() {
   std::vector<engine::BatchJob> jobs;
   for (graph::NodeId n = 1; n <= 3; ++n) {
-    for (auto& job : engine::exhaustive_jobs(n, 2)) {
+    for (auto& job : workload_jobs(engine::WorkloadSpec::exhaustive(n, 2))) {
       jobs.push_back(std::move(job));
     }
   }
@@ -33,7 +47,7 @@ std::vector<engine::BatchJob> parity_jobs() {
     jobs.push_back({config::family_s(m), core::ProtocolSpec::canonical(), {}});
   }
   jobs.push_back({config::family_g(2), core::ProtocolSpec::canonical(), {}});
-  for (auto& job : engine::staggered_jobs(2, 4)) {
+  for (auto& job : workload_jobs(engine::WorkloadSpec::staggered(), 4)) {
     jobs.push_back(std::move(job));
   }
   support::Rng rng(0xE16E);
@@ -121,13 +135,11 @@ TEST(BatchRunner, OutcomesAreInvariantAcrossThreadCounts) {
 }
 
 TEST(BatchRunner, GeneratorAndMaterializedFormsAgree) {
-  engine::RandomSweep sweep;
-  sweep.nodes = 10;
-  sweep.span = 2;
-  sweep.seed = 99;
-  const engine::JobSource source = engine::random_jobs(sweep);
-
   constexpr engine::JobId kCount = 40;
+  const engine::CountedSweep sweep = engine::WorkloadSpec::random(10, 0.3, 2).instantiate(
+      99, {core::ProtocolSpec::canonical()}, {.count = kCount});
+  const engine::JobSource& source = sweep.source;
+
   std::vector<engine::BatchJob> materialized;
   materialized.reserve(kCount);
   for (engine::JobId i = 0; i < kCount; ++i) {
@@ -147,7 +159,7 @@ TEST(BatchRunner, CoinSeedingIsAPureFunctionOfBatchSeedAndJobId) {
 
   // A job's preset coin seed is overwritten by the engine's derivation, so
   // two identical batches agree regardless of what callers left in options.
-  std::vector<engine::BatchJob> jobs = engine::staggered_jobs(2, 6);
+  std::vector<engine::BatchJob> jobs = workload_jobs(engine::WorkloadSpec::staggered(), 6);
   jobs[0].options.simulator.coin_seed = 0xDEAD;
   engine::BatchRunner runner({.threads = 2, .seed = 11});
   const engine::BatchReport first = runner.run(jobs);
@@ -210,7 +222,7 @@ TEST(BatchRunner, EmptyBatchYieldsEmptyReport) {
 TEST(BatchRunner, ExhaustiveSweepAllVerify) {
   // Every small configuration elects correctly through the engine: the
   // verification flag holds for feasible and infeasible runs alike.
-  const std::vector<engine::BatchJob> jobs = engine::exhaustive_jobs(3, 2);
+  const std::vector<engine::BatchJob> jobs = workload_jobs(engine::WorkloadSpec::exhaustive(3, 2));
   engine::BatchRunner runner({.threads = 4});
   const engine::BatchReport report = runner.run(jobs);
   EXPECT_EQ(report.valid_count, report.jobs.size());
@@ -218,7 +230,8 @@ TEST(BatchRunner, ExhaustiveSweepAllVerify) {
   EXPECT_LT(report.feasible_count, report.jobs.size());
 
   // The lazy enumeration is the same sweep: same count, same outcomes.
-  const engine::CountedSweep sweep = engine::exhaustive_sweep(3, 2);
+  const engine::CountedSweep sweep =
+      engine::WorkloadSpec::exhaustive(3, 2).instantiate(1, {core::ProtocolSpec::canonical()});
   ASSERT_EQ(sweep.count, jobs.size());
   const engine::BatchReport lazy = runner.run(sweep.count, sweep.source);
   EXPECT_EQ(lazy.jobs, report.jobs);
@@ -229,14 +242,12 @@ TEST(BatchRunner, MixedProtocolSweepIsInvariantAcrossThreadCounts) {
   // batch running the canonical DRIP and every baseline is bit-identical
   // regardless of the thread count, per-job outcomes and per-protocol
   // breakdowns alike.
-  engine::RandomSweep sweep;
-  sweep.nodes = 10;
-  sweep.span = 2;
-  sweep.seed = 5;
-  sweep.protocols = protocol_mix();
-  const engine::JobSource source = engine::random_jobs(sweep);
+  const std::vector<core::ProtocolSpec> protocols = protocol_mix();
   constexpr engine::JobId kConfigurations = 24;
-  const auto count = kConfigurations * static_cast<engine::JobId>(sweep.protocols.size());
+  const engine::CountedSweep sweep = engine::WorkloadSpec::random(10, 0.3, 2).instantiate(
+      5, protocols, {.count = kConfigurations});
+  const engine::JobSource& source = sweep.source;
+  const engine::JobId count = sweep.count;
 
   std::vector<engine::BatchReport> reports;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -250,9 +261,9 @@ TEST(BatchRunner, MixedProtocolSweepIsInvariantAcrossThreadCounts) {
 
   // The cross product is head-to-head: one breakdown row per protocol, in
   // sweep order, each over the same number of configurations.
-  ASSERT_EQ(reports[0].by_protocol.size(), sweep.protocols.size());
-  for (std::size_t k = 0; k < sweep.protocols.size(); ++k) {
-    EXPECT_EQ(reports[0].by_protocol[k].protocol, sweep.protocols[k]);
+  ASSERT_EQ(reports[0].by_protocol.size(), protocols.size());
+  for (std::size_t k = 0; k < protocols.size(); ++k) {
+    EXPECT_EQ(reports[0].by_protocol[k].protocol, protocols[k]);
     EXPECT_EQ(reports[0].by_protocol[k].jobs, kConfigurations);
   }
   // The comparison has signal: the canonical protocol elects on the
@@ -266,29 +277,27 @@ TEST(BatchRunner, MixedProtocolSweepIsInvariantAcrossThreadCounts) {
 }
 
 TEST(BatchRunner, CrossProductJobsShareConfigurations) {
-  engine::RandomSweep sweep;
-  sweep.nodes = 8;
-  sweep.span = 2;
-  sweep.seed = 77;
-  sweep.protocols = protocol_mix();
-  const engine::JobSource source = engine::random_jobs(sweep);
-  const auto P = static_cast<engine::JobId>(sweep.protocols.size());
+  const std::vector<core::ProtocolSpec> protocols = protocol_mix();
+  const engine::CountedSweep sweep =
+      engine::WorkloadSpec::random(8, 0.3, 2).instantiate(77, protocols, {.count = 6});
+  const engine::JobSource& source = sweep.source;
+  const auto P = static_cast<engine::JobId>(protocols.size());
   for (const engine::JobId configuration : {engine::JobId{0}, engine::JobId{5}}) {
     const engine::BatchJob first = source(configuration * P);
     for (engine::JobId k = 0; k < P; ++k) {
       const engine::BatchJob job = source(configuration * P + k);
       EXPECT_EQ(job.configuration, first.configuration);
-      EXPECT_EQ(job.protocol, sweep.protocols[static_cast<std::size_t>(k)]);
+      EXPECT_EQ(job.protocol, protocols[static_cast<std::size_t>(k)]);
     }
   }
 }
 
-TEST(BatchRunner, CrossProtocolsWrapsAnyCountedSweep) {
+TEST(BatchRunner, InstantiateCrossesASelfCountingWorkload) {
   const std::vector<core::ProtocolSpec> protocols = {core::ProtocolSpec::canonical(),
                                                      core::ProtocolSpec::classify_only()};
-  const engine::CountedSweep base = engine::exhaustive_sweep(3, 1);
-  const engine::CountedSweep crossed = engine::cross_protocols(engine::exhaustive_sweep(3, 1),
-                                                               protocols);
+  const engine::WorkloadSpec census = engine::WorkloadSpec::exhaustive(3, 1);
+  const engine::CountedSweep base = census.instantiate(1, {core::ProtocolSpec::canonical()});
+  const engine::CountedSweep crossed = census.instantiate(1, protocols);
   ASSERT_EQ(crossed.count, base.count * 2);
   for (const engine::JobId id : {engine::JobId{0}, engine::JobId{7}}) {
     EXPECT_EQ(crossed.source(2 * id).configuration, base.source(id).configuration);

@@ -28,7 +28,6 @@
 #include "dist/report_io.hpp"
 #include "dist/shard.hpp"
 #include "engine/batch_runner.hpp"
-#include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"

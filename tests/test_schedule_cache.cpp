@@ -1,7 +1,7 @@
 /// \file test_schedule_cache.cpp
 /// The schedule/classification cache's contract: cache-on and cache-off
 /// batches are bit-identical — every JobOutcome (leader, rounds,
-/// disposition) — for a seeded RandomSweep crossed with every registered
+/// disposition) — for a seeded random workload crossed with every registered
 /// protocol, across 1, 2 and 8 threads; plus the unit behaviour of the
 /// sharded LRU itself (hits, upgrades, evictions, key separation) and of
 /// the per-batch statistics the engine reports.
@@ -16,7 +16,7 @@
 #include "core/protocol.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/schedule_cache.hpp"
-#include "engine/sweep.hpp"
+#include "engine/workload.hpp"
 
 namespace {
 
@@ -26,21 +26,17 @@ using namespace arl;
 /// protocol in the registry, so consecutive jobs share a configuration and
 /// the cache sees hits from the classifying kinds next to pass-through
 /// baseline jobs.
-engine::RandomSweep registry_sweep() {
-  engine::RandomSweep sweep;
-  sweep.nodes = 10;
-  sweep.span = 2;
-  sweep.seed = 4242;
-  sweep.protocols = core::registered_protocols();
-  return sweep;
+engine::CountedSweep registry_sweep(std::size_t configurations) {
+  const engine::WorkloadSpec workload = engine::WorkloadSpec::random(10, 0.3, 2);
+  return workload.instantiate(4242, core::registered_protocols(), {.count = configurations});
 }
 
 constexpr engine::JobId kParityConfigurations = 12;
 
 TEST(ScheduleCache, CacheOnAndCacheOffBatchesAreBitIdentical) {
-  const engine::RandomSweep sweep = registry_sweep();
-  const engine::JobSource source = engine::random_jobs(sweep);
-  const auto count = kParityConfigurations * static_cast<engine::JobId>(sweep.protocols.size());
+  const engine::CountedSweep sweep = registry_sweep(kParityConfigurations);
+  const engine::JobSource& source = sweep.source;
+  const engine::JobId count = sweep.count;
 
   std::vector<engine::BatchReport> reports;
   for (const unsigned threads : {1u, 2u, 8u}) {
@@ -68,9 +64,9 @@ TEST(ScheduleCache, CacheOnAndCacheOffBatchesAreBitIdentical) {
 TEST(ScheduleCache, CachedFullReportsMatchUncachedOnes) {
   // Beyond the condensed outcomes: the full ElectionReports — classification
   // records, schedule contents, verification — are equal too.
-  const engine::RandomSweep sweep = registry_sweep();
-  const engine::JobSource source = engine::random_jobs(sweep);
-  const auto count = 4 * static_cast<engine::JobId>(sweep.protocols.size());
+  const engine::CountedSweep sweep = registry_sweep(4);
+  const engine::JobSource& source = sweep.source;
+  const engine::JobId count = sweep.count;
 
   engine::BatchRunner uncached({.threads = 2, .seed = 7, .keep_reports = true});
   engine::BatchRunner cached(
@@ -228,9 +224,8 @@ TEST(ScheduleCache, SingleThreadedCrossProtocolCountersAreExact) {
   // job misses and compiles, the classify job hits) and builds exactly one
   // schedule per configuration.
   constexpr engine::JobId kConfigurations = 6;
-  const engine::CountedSweep crossed = engine::cross_protocols(
-      engine::exhaustive_sweep(3, 1),
-      {core::ProtocolSpec::canonical(), core::ProtocolSpec::classify_only()});
+  const engine::CountedSweep crossed = engine::WorkloadSpec::exhaustive(3, 1).instantiate(
+      0, {core::ProtocolSpec::canonical(), core::ProtocolSpec::classify_only()});
   const auto count = std::min<engine::JobId>(crossed.count, 2 * kConfigurations);
 
   engine::BatchRunner runner({.threads = 1, .cache_capacity = 64});

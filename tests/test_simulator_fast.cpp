@@ -25,7 +25,6 @@
 #include "core/schedule.hpp"
 #include "engine/batch_runner.hpp"
 #include "engine/schedule_cache.hpp"
-#include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
@@ -151,6 +150,18 @@ config::Configuration random_configuration(support::Rng& rng) {
   return config::random_tags_with_span(std::move(graph), sigma, rng);
 }
 
+/// Every connected n-node configuration with tags in [0, tau], in the
+/// exhaustive workload's order.
+std::vector<config::Configuration> census(graph::NodeId n, config::Tag tau) {
+  const engine::CountedSweep sweep =
+      engine::WorkloadSpec::exhaustive(n, tau).instantiate(1, {core::ProtocolSpec::canonical()});
+  std::vector<config::Configuration> configurations;
+  for (engine::JobId id = 0; id < sweep.count; ++id) {
+    configurations.push_back(sweep.source(id).configuration);
+  }
+  return configurations;
+}
+
 // ---------------------------------------------------------------- exhaustive
 
 TEST(SimulatorFast, ExhaustiveSmallConfigurationsBeacon) {
@@ -158,10 +169,10 @@ TEST(SimulatorFast, ExhaustiveSmallConfigurationsBeacon) {
   // connected 4-node configuration with tags in [0, 1]: the beacon drip
   // fires early, so these runs are dense in forced wakeups and collisions.
   for (const auto& [n, tau] : std::vector<std::pair<graph::NodeId, config::Tag>>{{3, 2}, {4, 1}}) {
-    const std::vector<engine::BatchJob> jobs = engine::exhaustive_jobs(n, tau);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::vector<config::Configuration> configurations = census(n, tau);
+    for (std::size_t i = 0; i < configurations.size(); ++i) {
       const testkit::BeaconDrip beacon(1 + i % 3, /*payload=*/7, /*lifetime=*/6);
-      expect_differential(jobs[i].configuration, beacon, /*coin_seed=*/i,
+      expect_differential(configurations[i], beacon, /*coin_seed=*/i,
                           "exhaustive n=" + std::to_string(n) + " #" + std::to_string(i));
     }
   }
@@ -170,12 +181,12 @@ TEST(SimulatorFast, ExhaustiveSmallConfigurationsBeacon) {
 TEST(SimulatorFast, ExhaustiveSmallConfigurationsCanonical) {
   // The canonical DRIP over the full 3-node census: the protocol whose
   // listen_streak() parks nodes on the fast path.
-  const std::vector<engine::BatchJob> jobs = engine::exhaustive_jobs(3, 2);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  const std::vector<config::Configuration> configurations = census(3, 2);
+  for (std::size_t i = 0; i < configurations.size(); ++i) {
     for (const radio::ChannelModel model :
          {radio::ChannelModel::CollisionDetection, radio::ChannelModel::NoCollisionDetection}) {
-      const auto drip = canonical_for(jobs[i].configuration, model);
-      expect_differential(jobs[i].configuration, *drip, /*coin_seed=*/i,
+      const auto drip = canonical_for(configurations[i], model);
+      expect_differential(configurations[i], *drip, /*coin_seed=*/i,
                           "exhaustive canonical #" + std::to_string(i));
     }
   }

@@ -27,7 +27,7 @@
 #include "core/schedule.hpp"
 #include "core/schedule_io.hpp"
 #include "engine/batch_runner.hpp"
-#include "engine/sweep.hpp"
+#include "engine/workload.hpp"
 #include "store/artifact_store.hpp"
 #include "store/tiered_cache.hpp"
 #include "support/assert.hpp"
@@ -469,19 +469,15 @@ TEST_F(StoreTest, TieredStoreIsWriteThrough) {
 
 /// The parity workload: a seeded random sweep crossed with every registered
 /// protocol (mirrors tests/test_schedule_cache.cpp).
-engine::RandomSweep parity_sweep() {
-  engine::RandomSweep sweep;
-  sweep.nodes = 10;
-  sweep.span = 2;
-  sweep.seed = 4242;
-  sweep.protocols = core::registered_protocols();
-  return sweep;
+engine::CountedSweep parity_sweep(std::size_t configurations) {
+  const engine::WorkloadSpec workload = engine::WorkloadSpec::random(10, 0.3, 2);
+  return workload.instantiate(4242, core::registered_protocols(), {.count = configurations});
 }
 
 TEST_F(StoreTest, StoreOnColdWarmAndOffBatchesAreBitIdentical) {
-  const engine::RandomSweep sweep = parity_sweep();
-  const engine::JobSource source = engine::random_jobs(sweep);
-  const auto count = 8 * static_cast<engine::JobId>(sweep.protocols.size());
+  const engine::CountedSweep sweep = parity_sweep(8);
+  const engine::JobSource& source = sweep.source;
+  const engine::JobId count = sweep.count;
 
   engine::BatchOptions no_store;
   no_store.threads = 2;
@@ -516,9 +512,9 @@ TEST_F(StoreTest, StoreOnColdWarmAndOffBatchesAreBitIdentical) {
 }
 
 TEST_F(StoreTest, CorruptedStoreStillYieldsBitIdenticalResults) {
-  const engine::RandomSweep sweep = parity_sweep();
-  const engine::JobSource source = engine::random_jobs(sweep);
-  const auto count = 4 * static_cast<engine::JobId>(sweep.protocols.size());
+  const engine::CountedSweep sweep = parity_sweep(4);
+  const engine::JobSource& source = sweep.source;
+  const engine::JobId count = sweep.count;
 
   engine::BatchOptions with_store;
   with_store.threads = 1;

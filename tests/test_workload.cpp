@@ -18,6 +18,7 @@
 #include "engine/workload.hpp"
 #include "graph/generators.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 
 namespace {
 
@@ -257,6 +258,86 @@ TEST(WorkloadInstantiate, PublishedRandomStreamsArePinned) {
         instantiate(pinned.text, pinned.seed, {core::ProtocolSpec::classify_only()}, 4);
     EXPECT_EQ(config::fingerprint(sweep.source(0).configuration), pinned.fingerprint)
         << pinned.text << " seed " << pinned.seed;
+  }
+}
+
+/// One digest of a whole job stream: the job count and, per job, the
+/// configuration fingerprint, protocol name, channel model and classifier
+/// flag, in job-id order.
+std::uint64_t stream_digest(const engine::CountedSweep& sweep) {
+  support::Hash64 hash(/*seed=*/0x57AEA);
+  hash.absorb(sweep.count);
+  for (engine::JobId id = 0; id < sweep.count; ++id) {
+    const engine::BatchJob job = sweep.source(id);
+    hash.absorb(config::fingerprint(job.configuration))
+        .absorb(support::hash_text(job.protocol.name(), /*seed=*/0))
+        .absorb(static_cast<std::uint64_t>(job.options.channel_model))
+        .absorb(job.options.use_fast_classifier ? 1 : 0);
+  }
+  return hash.digest();
+}
+
+TEST(WorkloadInstantiate, EveryWorkloadJobStreamIsPinned) {
+  // Every registered workload plus the grammar's other stream-shaping
+  // switches (inexact tags, no-CD with the hashed classifier, a small
+  // census and a self-counting mutation base), each pinned as a whole job
+  // stream of count 5 under {canonical} and under {canonical, classify}.
+  // A job-source refactor must leave all of these unchanged; a deliberate
+  // stream change must show up here.
+  const std::vector<core::ProtocolSpec> canonical = {core::ProtocolSpec::canonical()};
+  const std::vector<core::ProtocolSpec> head_to_head = {core::ProtocolSpec::canonical(),
+                                                        core::ProtocolSpec::classify_only()};
+  const struct {
+    const char* text;
+    std::uint64_t seed;
+    std::uint64_t canonical;     // stream_digest under {canonical}
+    std::uint64_t head_to_head;  // stream_digest under {canonical, classify}
+  } cases[] = {
+      {"random:n=16,p=0.3,sigma=3", 1, 0x5135b922a33bbec4, 0x2c867517a7704450},
+      {"random:n=16,p=0.3,sigma=3", 7, 0x95daa849096e2825, 0x3f0c5feff0db120c},
+      {"exhaustive:n=4,tau=2", 1, 0xf6b15964ae459023, 0x106ded0bf195e9cc},
+      {"exhaustive:n=4,tau=2", 7, 0xf6b15964ae459023, 0x106ded0bf195e9cc},
+      {"family-g", 1, 0x54ab45db061776ca, 0xe685d16d85af786d},
+      {"family-g", 7, 0x54ab45db061776ca, 0xe685d16d85af786d},
+      {"family-h", 1, 0xdbb9280d69586130, 0xdbec868b90169f26},
+      {"family-h", 7, 0xdbb9280d69586130, 0xdbec868b90169f26},
+      {"family-s", 1, 0x8d5a26f6ff71c972, 0x6ea07946404bbe16},
+      {"family-s", 7, 0x8d5a26f6ff71c972, 0x6ea07946404bbe16},
+      {"staggered", 1, 0xa0059f339188833a, 0x2f77c186f7229f64},
+      {"staggered", 7, 0xa0059f339188833a, 0x2f77c186f7229f64},
+      {"grid:rows=8,cols=8,sigma=3", 1, 0x6dc780e8ae0bfbe3, 0x8cd6039d48339e8e},
+      {"grid:rows=8,cols=8,sigma=3", 7, 0x5a30fd50b180f67c, 0xa7e6c4e6c6b74fe8},
+      {"torus:rows=8,cols=8,sigma=3", 1, 0xb849e8e559067e99, 0x94f68ba16499e684},
+      {"torus:rows=8,cols=8,sigma=3", 7, 0xb032d0d49074b172, 0x2b69c83b99b06d1d},
+      {"hypercube:d=6,sigma=3", 1, 0x8f24825db04e1ca1, 0x59f2cb7e0dae0bbf},
+      {"hypercube:d=6,sigma=3", 7, 0x3c54ee98fe874517, 0x7f4d289c481d9894},
+      {"tree:n=64,sigma=3", 1, 0x6c01a1ba7973b0e6, 0xeabaeafde787625a},
+      {"tree:n=64,sigma=3", 7, 0x2ad80ba0b8b027ed, 0x4a976e1c8e20afc6},
+      {"single-hop:n=32,sigma=3", 1, 0x96bfafb1bba227f6, 0x80d4caf13e455083},
+      {"single-hop:n=32,sigma=3", 7, 0x8ff868aff77d6a84, 0x41bd7885e1d2eaa2},
+      {"mutations:random:n=16,p=0.3,sigma=3", 1, 0x2d84c1e96b793ef9, 0x370a21ce1ccbb099},
+      {"mutations:random:n=16,p=0.3,sigma=3", 7, 0x7b446fcba24846b6, 0xe1d117a9ecf0aa3c},
+      {"random:n=10,p=0.3,sigma=3,exact=0", 1, 0xc77e088ff12fbfc0, 0xe799dd35d722be4e},
+      {"random:n=10,p=0.3,sigma=3,exact=0", 7, 0x5a639ecdc5dbad28, 0x14f4963034e9fa41},
+      {"random:n=12,p=0.4,sigma=2,model=nocd,fast=1", 1, 0x920b2bec20ebc3c2, 0xbbc4b9b22f111d70},
+      {"random:n=12,p=0.4,sigma=2,model=nocd,fast=1", 7, 0x66ef2b90134c7f4a, 0xd50d9e6ace20c0a3},
+      {"exhaustive:n=3,tau=1", 1, 0x571a935c9fd0f894, 0x59e6447e40289ac7},
+      {"exhaustive:n=3,tau=1", 7, 0x571a935c9fd0f894, 0x59e6447e40289ac7},
+      {"mutations:exhaustive:n=2,tau=1", 1, 0xbe9e65cbe6157ab3, 0xf27a579d20eda098},
+      {"mutations:exhaustive:n=2,tau=1", 7, 0xbe9e65cbe6157ab3, 0xf27a579d20eda098},
+  };
+  std::set<std::string> pinned;
+  for (const auto& expected : cases) {
+    pinned.insert(expected.text);
+    EXPECT_EQ(stream_digest(instantiate(expected.text, expected.seed, canonical, 5)),
+              expected.canonical)
+        << expected.text << " seed " << expected.seed;
+    EXPECT_EQ(stream_digest(instantiate(expected.text, expected.seed, head_to_head, 5)),
+              expected.head_to_head)
+        << expected.text << " seed " << expected.seed << " head to head";
+  }
+  for (const engine::WorkloadSpec& spec : engine::registered_workloads()) {
+    EXPECT_TRUE(pinned.count(spec.name()) > 0) << spec.name() << " has no pinned stream";
   }
 }
 

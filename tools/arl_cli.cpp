@@ -63,7 +63,6 @@
 #include "dist/report_io.hpp"
 #include "dist/shard.hpp"
 #include "engine/batch_runner.hpp"
-#include "engine/sweep.hpp"
 #include "engine/workload.hpp"
 #include "fault/fault.hpp"
 #include "graph/generators.hpp"
@@ -479,14 +478,12 @@ double probability_flag(const support::Args& args) {
 }
 
 radio::ChannelModel parse_model(const support::Args& args) {
-  const std::string model = args.get_string("model", "cd");
-  if (model == "cd") {
-    return radio::ChannelModel::CollisionDetection;
+  const std::optional<radio::ChannelModel> model =
+      radio::parse_channel_model(args.get_string("model", "cd"));
+  if (!model) {
+    throw support::ContractViolation("--model must be cd or nocd");
   }
-  if (model == "nocd") {
-    return radio::ChannelModel::NoCollisionDetection;
-  }
-  throw support::ContractViolation("--model must be cd or nocd");
+  return *model;
 }
 
 /// The --seed of `gen`, `sweep` and `submit` (default 1): any u64, in the
